@@ -8,8 +8,8 @@
 
 namespace hlm::obs {
 
-/// Maps an internal dotted metric name (hlm.serve.http.request_seconds)
-/// onto the Prometheus exposition charset: every character outside
+/// Maps an internal dotted metric name
+/// (hlm.serve.http.recommend.request_seconds) onto the Prometheus exposition charset: every character outside
 /// [a-zA-Z0-9_:] becomes '_', and a leading digit gains a '_' prefix.
 /// Colons are reserved for recording rules, so dots map to underscores
 /// too. An empty input sanitizes to "_".

@@ -4,32 +4,36 @@
 
 namespace hlm::serve {
 
+namespace {
+
+/// The endpoint table, indexed by Route. kOther (last) has no path.
+struct RouteEntry {
+  const char* name;
+  const char* path;
+};
+constexpr RouteEntry kRoutes[kNumRoutes] = {
+    {"recommend", "/v1/recommend"}, {"similar", "/v1/similar"},
+    {"topics", "/v1/topics"},       {"healthz", "/healthz"},
+    {"statusz", "/statusz"},        {"metricsz", "/metricsz"},
+    {"other", nullptr},
+};
+
+}  // namespace
+
 const char* RouteName(Route route) {
-  switch (route) {
-    case Route::kRecommend: return "recommend";
-    case Route::kSimilar: return "similar";
-    case Route::kTopics: return "topics";
-    case Route::kHealthz: return "healthz";
-    case Route::kStatusz: return "statusz";
-    case Route::kMetricsz: return "metricsz";
-    case Route::kOther: return "other";
-  }
-  return "other";
+  return kRoutes[static_cast<size_t>(route)].name;
 }
 
 Route RouteForPath(const std::string& path) {
-  if (path == "/v1/recommend") return Route::kRecommend;
-  if (path == "/v1/similar") return Route::kSimilar;
-  if (path == "/v1/topics") return Route::kTopics;
-  if (path == "/healthz") return Route::kHealthz;
-  if (path == "/statusz") return Route::kStatusz;
-  if (path == "/metricsz") return Route::kMetricsz;
+  for (size_t i = 0; i < kNumRoutes; ++i) {
+    if (kRoutes[i].path != nullptr && path == kRoutes[i].path) {
+      return static_cast<Route>(i);
+    }
+  }
   return Route::kOther;
 }
 
-RequestRecorder::RequestRecorder(RequestRecorderOptions options)
-    : options_(options) {
-  if (options_.sample_every < 1) options_.sample_every = 1;
+RequestRecorder::RequestRecorder() {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   for (size_t i = 0; i < kNumRoutes; ++i) {
     // Names are assembled from the fixed route table; every one follows
@@ -69,14 +73,14 @@ void RequestRecorder::Record(Route route, int status_code, double elapsed_s,
     cells.status_5xx->Increment();
   }
 
-  const bool slow = elapsed_s >= options_.slow_request_threshold_s;
+  const bool slow = elapsed_s >= kSlowRequestSeconds;
   if (slow) slow_->Increment();
   // The ordinal pre-increments, so the 1-in-n sample fires on request
-  // sample_every, 2*sample_every, ... — never on the very first
-  // request, which keeps keep-decisions assertable in tests.
+  // kTraceSampleEvery, 2*kTraceSampleEvery, ... — never on the very
+  // first request, which keeps keep-decisions assertable in tests.
   const long long ordinal =
       ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const bool sampled = ordinal % options_.sample_every == 0;
+  const bool sampled = ordinal % kTraceSampleEvery == 0;
   if (!slow && !error && !sampled) return;
   kept_->Increment();
   if (sampled && !slow && !error) sampled_->Increment();

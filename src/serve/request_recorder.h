@@ -10,8 +10,8 @@
 namespace hlm::serve {
 
 /// The routes the serving endpoints break metrics down by. kOther
-/// absorbs 404s and anything unrouted so per-route counters always sum
-/// to the aggregate.
+/// absorbs 404s and anything unrouted, so the per-route series cover
+/// every request.
 enum class Route {
   kRecommend = 0,
   kSimilar,
@@ -31,14 +31,11 @@ const char* RouteName(Route route);
 /// table; everything else is kOther).
 Route RouteForPath(const std::string& path);
 
-struct RequestRecorderOptions {
-  /// Requests at or above this duration are always kept by the tail
-  /// sampler (and counted in hlm.serve.trace.slow_total).
-  double slow_request_threshold_s = 0.25;
-  /// Keep one in `sample_every` fast, successful requests (<= 1 keeps
-  /// all of them).
-  long long sample_every = 100;
-};
+/// Tail-sampling policy: requests at or above kSlowRequestSeconds are
+/// always kept (and counted in hlm.serve.trace.slow_total), and so is
+/// one in kTraceSampleEvery of the fast, successful rest.
+inline constexpr double kSlowRequestSeconds = 0.25;
+inline constexpr long long kTraceSampleEvery = 100;
 
 /// Per-request accounting for the serving handler path: per-route
 /// counters/histograms plus the tail-sampled wide event feeding the
@@ -57,15 +54,16 @@ struct RequestRecorderOptions {
 ///   hlm.serve.http.<route>.request_seconds
 ///   hlm.serve.trace.kept_total / slow_total / sampled_total
 ///
-/// Tail sampling: a request is kept when it is slow (>= threshold),
-/// failed (status >= 400), or lands on the 1-in-n ordinal sample; kept
-/// requests emit the "serve.http.request" wide event (warning level for
-/// errors), which the event log mirrors into the flight recorder — so
-/// /statusz tails and crash dumps always contain the slowest and the
-/// failing recent requests, without per-request log volume.
+/// Tail sampling: a request is kept when it is slow
+/// (>= kSlowRequestSeconds), failed (status >= 400), or lands on the
+/// 1-in-kTraceSampleEvery ordinal sample; kept requests emit the
+/// "serve.http.request" wide event (warning level for errors), which the
+/// event log mirrors into the flight recorder — so /statusz tails and
+/// crash dumps always contain the slowest and the failing recent
+/// requests, without per-request log volume.
 class RequestRecorder {
  public:
-  explicit RequestRecorder(RequestRecorderOptions options = {});
+  RequestRecorder();
   RequestRecorder(const RequestRecorder&) = delete;
   RequestRecorder& operator=(const RequestRecorder&) = delete;
 
@@ -73,8 +71,6 @@ class RequestRecorder {
   /// generation that answered it (-1 when no bundle was involved).
   void Record(Route route, int status_code, double elapsed_s,
               int generation);
-
-  const RequestRecorderOptions& options() const { return options_; }
 
  private:
   struct RouteMetrics {
@@ -86,7 +82,6 @@ class RequestRecorder {
     obs::Histogram* seconds = nullptr;
   };
 
-  RequestRecorderOptions options_;
   std::array<RouteMetrics, kNumRoutes> routes_;
   obs::Counter* kept_ = nullptr;
   obs::Counter* slow_ = nullptr;

@@ -16,8 +16,10 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -87,18 +89,20 @@ struct ServingSnapshot {
   ManifestStamp stamp;
 };
 
+/// Registry names the endpoints resolve at snapshot load; every snapshot
+/// producer registers exactly these.
+constexpr const char* kRecommendModel = "lda";
+constexpr const char* kSimilarModel = "lda-repr";
+
 Result<std::shared_ptr<const ServingSnapshot>> LoadSnapshot(
-    const ServerConfig& config) {
-  HLM_ASSIGN_OR_RETURN(ManifestStamp stamp,
-                       StampManifest(config.manifest_path));
+    const std::string& manifest_path) {
+  HLM_ASSIGN_OR_RETURN(ManifestStamp stamp, StampManifest(manifest_path));
   auto bundle = std::make_shared<ServingSnapshot>();
   HLM_ASSIGN_OR_RETURN(bundle->registry,
-                       ModelRegistry::FromManifest(config.manifest_path));
-  HLM_ASSIGN_OR_RETURN(bundle->lda,
-                       bundle->registry.Lda(config.recommend_model));
-  HLM_ASSIGN_OR_RETURN(
-      const std::vector<std::vector<double>>* rows,
-      bundle->registry.Representation(config.similar_model));
+                       ModelRegistry::FromManifest(manifest_path));
+  HLM_ASSIGN_OR_RETURN(bundle->lda, bundle->registry.Lda(kRecommendModel));
+  HLM_ASSIGN_OR_RETURN(const std::vector<std::vector<double>>* rows,
+                       bundle->registry.Representation(kSimilarModel));
   bundle->similarity = std::make_unique<recsys::SimilaritySearch>(
       *rows, cluster::DistanceKind::kCosine);
   bundle->generation = bundle->registry.generation();
@@ -106,14 +110,37 @@ Result<std::shared_ptr<const ServingSnapshot>> LoadSnapshot(
   return std::shared_ptr<const ServingSnapshot>(std::move(bundle));
 }
 
+/// Feeds the global time-series collector one delta bucket when it is
+/// due. Called from the watcher loop every poll tick and from the
+/// introspection endpoints, so the windowed /statusz section stays
+/// populated whichever of the two is driving.
+void TickStats() {
+  obs::TimeSeriesCollector& collector = obs::TimeSeriesCollector::Global();
+  const double now_s = obs::NowMicros() / 1e6;
+  if (!collector.ShouldRecord(now_s)) return;
+  collector.Record(now_s, obs::MetricsRegistry::Global().Snapshot());
+}
+
 // ---------------------------------------------------------------------------
 // Minimal HTTP/1.1 plumbing (GET + keep-alive is all the endpoints need).
 
+using Params = std::map<std::string, std::string>;
+
 struct HttpRequest {
   std::string method;
-  std::string path;                          // target before '?'
-  std::map<std::string, std::string> params; // decoded query pairs
+  std::string path;  // target before '?'
+  /// Query pairs split on '&' and the first '='. Values are raw: no
+  /// percent-decoding happens, which the numeric params never need.
+  Params params;
   bool keep_alive = true;
+};
+
+constexpr const char* kJson = "application/json";
+
+struct Response {
+  int code = 200;
+  const char* content_type = kJson;
+  std::string body;
 };
 
 const char* HttpStatusText(int code) {
@@ -126,15 +153,30 @@ const char* HttpStatusText(int code) {
   }
 }
 
-std::string RenderResponse(int code, const std::string& content_type,
-                           const std::string& body, bool keep_alive) {
-  std::string head = "HTTP/1.1 " + std::to_string(code) + " " +
-                     HttpStatusText(code) + "\r\n";
-  head += "Content-Type: " + content_type + "\r\n";
-  head += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+/// The one place a failure becomes an HTTP answer: a JSON error body,
+/// with the status code chosen by the error's kind. Bad input
+/// (InvalidArgument, OutOfRange) is 400, an unknown endpoint (NotFound)
+/// 404, an unsupported method (Unimplemented) 405, anything else 500.
+Response ErrorResponse(const Status& status) {
+  int code = 500;
+  switch (status.code()) {
+    case StatusCode::kInvalidArgument:
+    case StatusCode::kOutOfRange: code = 400; break;
+    case StatusCode::kNotFound: code = 404; break;
+    case StatusCode::kUnimplemented: code = 405; break;
+    default: break;
+  }
+  return {code, kJson, "{\"error\":" + obs::JsonQuote(status.message()) + "}"};
+}
+
+std::string RenderResponse(const Response& response, bool keep_alive) {
+  std::string head = "HTTP/1.1 " + std::to_string(response.code) + " " +
+                     HttpStatusText(response.code) + "\r\n";
+  head += std::string("Content-Type: ") + response.content_type + "\r\n";
+  head += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   head += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
   head += "\r\n";
-  return head + body;
+  return head + response.body;
 }
 
 bool SendAll(int fd, const std::string& data) {
@@ -213,33 +255,181 @@ Result<HttpRequest> ParseRequestHead(const std::string& head) {
   return request;
 }
 
-Result<std::vector<models::Token>> ParseTokenList(const std::string& spec) {
-  std::vector<models::Token> tokens;
-  if (spec.empty()) return tokens;
-  for (std::string_view item : Split(spec, ',')) {
-    HLM_ASSIGN_OR_RETURN(long long value, ParseInt64(item));
-    if (value < 0) {
-      return Status::InvalidArgument("negative token id: " +
-                                     std::string(item));
-    }
-    tokens.push_back(static_cast<models::Token>(value));
-  }
-  return tokens;
+// ---------------------------------------------------------------------------
+// Endpoints. The /v1 handlers return their JSON body or the error that
+// Dispatch turns into the error answer.
+
+/// The raw value of query param `key`, or nullptr when it is absent.
+const std::string* FindParam(const Params& params, const char* key) {
+  auto it = params.find(key);
+  return it == params.end() ? nullptr : &it->second;
 }
 
-Result<int> ParseCountParam(const std::map<std::string, std::string>& params,
-                            const std::string& key, int fallback) {
-  auto it = params.find(key);
-  if (it == params.end()) return fallback;
-  HLM_ASSIGN_OR_RETURN(long long value, ParseInt64(it->second));
-  if (value <= 0 || value > 1000000) {
-    return Status::InvalidArgument(key + " out of range: " + it->second);
+bool ParamIs(const Params& params, const char* key, const char* value) {
+  const std::string* found = FindParam(params, key);
+  return found != nullptr && *found == value;
+}
+
+/// Parses one id in [0, bound). The range check runs on the parsed
+/// 64-bit value, so an id past the int range is rejected instead of
+/// being narrowed onto a small valid id.
+Result<int> ParseId(std::string_view text, int bound, const char* what) {
+  HLM_ASSIGN_OR_RETURN(long long value, ParseInt64(text));
+  if (value < 0) {
+    return Status::InvalidArgument(std::string("negative ") + what +
+                                   " id: " + std::string(text));
+  }
+  if (value >= bound) {
+    return Status::OutOfRange(std::string(what) + " out of range: " +
+                              std::string(text));
   }
   return static_cast<int>(value);
 }
 
-std::string JsonError(const Status& status) {
-  return "{\"error\":" + obs::JsonQuote(status.message()) + "}";
+/// The comma-separated `tokens` param as product ids below `vocab`; an
+/// absent or empty param is the empty history.
+Result<std::vector<models::Token>> ParseTokens(const Params& params,
+                                               int vocab) {
+  std::vector<models::Token> tokens;
+  const std::string* spec = FindParam(params, "tokens");
+  if (spec == nullptr || spec->empty()) return tokens;
+  for (std::string_view item : Split(*spec, ',')) {
+    HLM_ASSIGN_OR_RETURN(models::Token token, ParseId(item, vocab, "token"));
+    tokens.push_back(token);
+  }
+  return tokens;
+}
+
+/// The `k` param: a result count in [1, 1e6], 5 when absent.
+Result<int> ParseK(const Params& params) {
+  const std::string* text = FindParam(params, "k");
+  if (text == nullptr) return 5;
+  HLM_ASSIGN_OR_RETURN(long long value, ParseInt64(*text));
+  if (value <= 0 || value > 1000000) {
+    return Status::InvalidArgument("k out of range: " + *text);
+  }
+  return static_cast<int>(value);
+}
+
+/// Renders the /v1 success envelope {"generation":N,"<key>":[...]},
+/// one `render(item)` per element.
+template <typename T, typename Render>
+std::string Envelope(int generation, const char* key,
+                     const std::vector<T>& items, Render render) {
+  std::string body = "{\"generation\":" + std::to_string(generation) +
+                     ",\"" + key + "\":[";
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) body += ",";
+    body += render(items[i]);
+  }
+  return body + "]}";
+}
+
+Result<std::string> HandleTopics(const ServingSnapshot& bundle,
+                                 const Params& params) {
+  HLM_ASSIGN_OR_RETURN(std::vector<models::Token> tokens,
+                       ParseTokens(params, bundle.lda->vocab_size()));
+  return Envelope(bundle.generation, "topics",
+                  bundle.lda->InferTopicMixture(tokens),
+                  [](double p) { return FormatDouble(p, 9); });
+}
+
+Result<std::string> HandleRecommend(const ServingSnapshot& bundle,
+                                    const Params& params) {
+  HLM_ASSIGN_OR_RETURN(std::vector<models::Token> tokens,
+                       ParseTokens(params, bundle.lda->vocab_size()));
+  HLM_ASSIGN_OR_RETURN(int k, ParseK(params));
+  std::vector<bool> owned(bundle.lda->vocab_size(), false);
+  for (models::Token token : tokens) owned[token] = true;
+  std::vector<double> scores = bundle.lda->NextProductDistribution(tokens);
+  // Top-k unowned products by score; ties break toward the smaller
+  // product id so responses are deterministic.
+  std::vector<int> candidates;
+  candidates.reserve(scores.size());
+  for (int p = 0; p < static_cast<int>(scores.size()); ++p) {
+    if (!owned[p]) candidates.push_back(p);
+  }
+  const size_t keep = std::min(candidates.size(), static_cast<size_t>(k));
+  std::partial_sort(candidates.begin(), candidates.begin() + keep,
+                    candidates.end(), [&scores](int a, int b) {
+                      if (scores[a] != scores[b]) {
+                        return scores[a] > scores[b];
+                      }
+                      return a < b;
+                    });
+  candidates.resize(keep);
+  return Envelope(bundle.generation, "items", candidates,
+                  [&scores](int p) {
+                    return "{\"product\":" + std::to_string(p) +
+                           ",\"score\":" + FormatDouble(scores[p], 9) + "}";
+                  });
+}
+
+Result<std::string> HandleSimilar(const ServingSnapshot& bundle,
+                                  const Params& params) {
+  const std::string* company_text = FindParam(params, "company");
+  if (company_text == nullptr) {
+    return Status::InvalidArgument("missing required param: company");
+  }
+  HLM_ASSIGN_OR_RETURN(
+      int company,
+      ParseId(*company_text, bundle.similarity->size(), "company"));
+  HLM_ASSIGN_OR_RETURN(int k, ParseK(params));
+  HLM_ASSIGN_OR_RETURN(std::vector<recsys::Neighbor> neighbors,
+                       bundle.similarity->TopK(company, k));
+  return Envelope(bundle.generation, "neighbors", neighbors,
+                  [](const recsys::Neighbor& neighbor) {
+                    return "{\"company\":" +
+                           std::to_string(neighbor.company_id) +
+                           ",\"distance\":" +
+                           FormatDouble(neighbor.distance, 9) + "}";
+                  });
+}
+
+Response V1Response(Result<std::string> body) {
+  if (!body.ok()) return ErrorResponse(body.status());
+  return {200, kJson, std::move(body).value()};
+}
+
+/// Answers one parsed request on its already-classified route.
+Response Dispatch(const HttpRequest& request, Route route,
+                  const ServingSnapshot& bundle) {
+  if (request.method != "GET") {
+    return ErrorResponse(Status::Unimplemented("only GET is supported"));
+  }
+  switch (route) {
+    case Route::kHealthz:
+      if (ParamIs(request.params, "format", "text")) {
+        return {200, "text/plain", "ok"};
+      }
+      return {200, kJson,
+              "{\"status\":\"ok\",\"generation\":" +
+                  std::to_string(bundle.generation) +
+                  ",\"uptime_seconds\":" +
+                  FormatDouble(obs::NowMicros() / 1e6, 3) +
+                  ",\"models_loaded\":" +
+                  std::to_string(bundle.registry.loaded_count()) + "}"};
+    case Route::kStatusz:
+      TickStats();
+      if (ParamIs(request.params, "format", "json")) {
+        return {200, kJson, obs::StatuszJson()};
+      }
+      return {200, "text/plain", obs::StatuszText()};
+    case Route::kMetricsz:
+      TickStats();
+      return {200, "text/plain; version=0.0.4; charset=utf-8",
+              obs::RenderPrometheusText(
+                  obs::MetricsRegistry::Global().Snapshot())};
+    case Route::kTopics:
+      return V1Response(HandleTopics(bundle, request.params));
+    case Route::kRecommend:
+      return V1Response(HandleRecommend(bundle, request.params));
+    case Route::kSimilar:
+      return V1Response(HandleSimilar(bundle, request.params));
+    case Route::kOther:
+      break;
+  }
+  return ErrorResponse(Status::NotFound("no such endpoint: " + request.path));
 }
 
 }  // namespace
@@ -264,11 +454,13 @@ struct Server::Impl {
 
   std::atomic<bool> stopping{false};
 
-  /// Guards conn_fds/conn_threads (serving-side bookkeeping only; never
-  /// held while answering a request).
+  /// live_fds holds the open connection fds. conn_mu guards it and is
+  /// taken only at connect and disconnect, never per request. Each
+  /// connection thread erases and closes its own fd under the lock, so
+  /// Stop() only ever shuts down fds that are still open.
   std::mutex conn_mu;  // hlm-lint: allow(lock-discipline)
-  std::vector<int> conn_fds;
-  std::vector<std::thread> conn_threads;  // hlm-lint: allow(no-raw-thread)
+  std::condition_variable conn_drained;
+  std::set<int> live_fds;
 
   /// Serializes reload attempts (watcher vs. explicit ReloadIfChanged)
   /// and guards last_attempt.
@@ -279,42 +471,19 @@ struct Server::Impl {
   std::mutex watcher_mu;  // hlm-lint: allow(lock-discipline)
   std::condition_variable watcher_cv;
 
+  obs::Counter* reloads_total = nullptr;
+  obs::Gauge* generation_gauge = nullptr;
+  RequestRecorder recorder;
+
   std::thread accept_thread;   // hlm-lint: allow(no-raw-thread)
   std::thread watcher_thread;
 
-  obs::Counter* requests_total = nullptr;
-  obs::Counter* errors_total = nullptr;
-  obs::Counter* reloads_total = nullptr;
-  obs::Histogram* request_seconds = nullptr;
-  obs::Gauge* generation_gauge = nullptr;
-  std::unique_ptr<RequestRecorder> recorder;
-
   void InitMetrics() {
     obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-    requests_total = metrics.GetCounter("hlm.serve.http.requests_total");
-    errors_total = metrics.GetCounter("hlm.serve.http.errors_total");
     reloads_total = metrics.GetCounter("hlm.serve.server.reloads_total");
-    request_seconds =
-        metrics.GetHistogram("hlm.serve.http.request_seconds");
     generation_gauge = metrics.GetGauge("hlm.serve.server.generation");
     metrics.GetGauge("hlm.serve.server.port")
         ->Set(static_cast<double>(port));
-    RequestRecorderOptions recorder_options;
-    recorder_options.slow_request_threshold_s =
-        config.slow_request_threshold_s;
-    recorder_options.sample_every = config.trace_sample_every;
-    recorder = std::make_unique<RequestRecorder>(recorder_options);
-  }
-
-  /// Feeds the global time-series collector one delta bucket when it is
-  /// due. Called from the watcher loop every poll tick and from the
-  /// introspection endpoints, so the windowed /statusz section stays
-  /// populated whichever of the two is driving.
-  void TickStats() {
-    obs::TimeSeriesCollector& collector = obs::TimeSeriesCollector::Global();
-    const double now_s = obs::NowMicros() / 1e6;
-    if (!collector.ShouldRecord(now_s)) return;
-    collector.Record(now_s, obs::MetricsRegistry::Global().Snapshot());
   }
 
   std::shared_ptr<const ServingSnapshot> CurrentSnapshot() const {
@@ -340,7 +509,7 @@ struct Server::Impl {
     // (and error-counted) every poll tick.
     last_attempt = stamp;
     Result<std::shared_ptr<const ServingSnapshot>> loaded =
-        LoadSnapshot(config);
+        LoadSnapshot(config.manifest_path);
     if (!loaded.ok()) {
       HLM_LOG(Warning) << "hot reload failed; keeping generation "
                        << CurrentSnapshot()->generation << ": "
@@ -354,222 +523,44 @@ struct Server::Impl {
     return true;
   }
 
-  // -- request handling -----------------------------------------------------
-
-  std::string HandleTopics(const ServingSnapshot& bundle,
-                           const HttpRequest& request, int* code) {
-    auto tokens_it = request.params.find("tokens");
-    Result<std::vector<models::Token>> tokens = ParseTokenList(
-        tokens_it == request.params.end() ? "" : tokens_it->second);
-    if (!tokens.ok()) {
-      *code = 400;
-      return JsonError(tokens.status());
-    }
-    for (models::Token token : tokens.value()) {
-      if (token >= bundle.lda->vocab_size()) {
-        *code = 400;
-        return JsonError(Status::InvalidArgument(
-            "token out of vocabulary: " + std::to_string(token)));
-      }
-    }
-    std::vector<double> mixture =
-        bundle.lda->InferTopicMixture(tokens.value());
-    std::string body = "{\"generation\":" +
-                       std::to_string(bundle.generation) + ",\"topics\":[";
-    for (size_t i = 0; i < mixture.size(); ++i) {
-      if (i > 0) body += ",";
-      body += FormatDouble(mixture[i], 9);
-    }
-    body += "]}";
-    return body;
-  }
-
-  std::string HandleRecommend(const ServingSnapshot& bundle,
-                              const HttpRequest& request, int* code) {
-    auto tokens_it = request.params.find("tokens");
-    Result<std::vector<models::Token>> tokens = ParseTokenList(
-        tokens_it == request.params.end() ? "" : tokens_it->second);
-    if (!tokens.ok()) {
-      *code = 400;
-      return JsonError(tokens.status());
-    }
-    Result<int> k = ParseCountParam(request.params, "k", 5);
-    if (!k.ok()) {
-      *code = 400;
-      return JsonError(k.status());
-    }
-    const int vocab = bundle.lda->vocab_size();
-    std::vector<bool> owned(vocab, false);
-    for (models::Token token : tokens.value()) {
-      if (token >= vocab) {
-        *code = 400;
-        return JsonError(Status::InvalidArgument(
-            "token out of vocabulary: " + std::to_string(token)));
-      }
-      owned[token] = true;
-    }
-    std::vector<double> scores =
-        bundle.lda->NextProductDistribution(tokens.value());
-    // Top-k unowned products by score; ties break toward the smaller
-    // product id so responses are deterministic.
-    std::vector<int> candidates;
-    candidates.reserve(scores.size());
-    for (int p = 0; p < static_cast<int>(scores.size()); ++p) {
-      if (!owned[p]) candidates.push_back(p);
-    }
-    const size_t keep =
-        std::min(candidates.size(), static_cast<size_t>(k.value()));
-    std::partial_sort(candidates.begin(), candidates.begin() + keep,
-                      candidates.end(), [&scores](int a, int b) {
-                        if (scores[a] != scores[b]) {
-                          return scores[a] > scores[b];
-                        }
-                        return a < b;
-                      });
-    candidates.resize(keep);
-    std::string body = "{\"generation\":" +
-                       std::to_string(bundle.generation) + ",\"items\":[";
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (i > 0) body += ",";
-      body += "{\"product\":" + std::to_string(candidates[i]) +
-              ",\"score\":" + FormatDouble(scores[candidates[i]], 9) + "}";
-    }
-    body += "]}";
-    return body;
-  }
-
-  std::string HandleSimilar(const ServingSnapshot& bundle,
-                            const HttpRequest& request, int* code) {
-    auto company_it = request.params.find("company");
-    if (company_it == request.params.end()) {
-      *code = 400;
-      return JsonError(
-          Status::InvalidArgument("missing required param: company"));
-    }
-    Result<long long> company = ParseInt64(company_it->second);
-    if (!company.ok()) {
-      *code = 400;
-      return JsonError(company.status());
-    }
-    Result<int> k = ParseCountParam(request.params, "k", 5);
-    if (!k.ok()) {
-      *code = 400;
-      return JsonError(k.status());
-    }
-    Result<std::vector<recsys::Neighbor>> neighbors =
-        bundle.similarity->TopK(static_cast<int>(company.value()),
-                                k.value());
-    if (!neighbors.ok()) {
-      *code = 400;
-      return JsonError(neighbors.status());
-    }
-    std::string body = "{\"generation\":" +
-                       std::to_string(bundle.generation) +
-                       ",\"neighbors\":[";
-    for (size_t i = 0; i < neighbors.value().size(); ++i) {
-      const recsys::Neighbor& neighbor = neighbors.value()[i];
-      if (i > 0) body += ",";
-      body += "{\"company\":" + std::to_string(neighbor.company_id) +
-              ",\"distance\":" + FormatDouble(neighbor.distance, 9) + "}";
-    }
-    body += "]}";
-    return body;
-  }
-
-  /// Routes one parsed request; fills `code`/`content_type` (and the
-  /// telemetry out-params `route`/`generation`) and returns the body.
-  std::string Dispatch(const HttpRequest& request, int* code,
-                       std::string* content_type, Route* route,
-                       int* generation) {
-    *code = 200;
-    *content_type = "application/json";
-    *route = RouteForPath(request.path);
-    std::shared_ptr<const ServingSnapshot> bundle = CurrentSnapshot();
-    *generation = bundle->generation;
-    if (request.method != "GET") {
-      *code = 405;
-      return JsonError(
-          Status::InvalidArgument("only GET is supported"));
-    }
-    if (request.path == "/healthz") {
-      auto format = request.params.find("format");
-      if (format != request.params.end() && format->second == "text") {
-        *content_type = "text/plain";
-        return "ok";
-      }
-      std::string body = "{\"status\":\"ok\",\"generation\":" +
-                         std::to_string(bundle->generation);
-      body += ",\"uptime_seconds\":" +
-              FormatDouble(obs::NowMicros() / 1e6, 3);
-      body += ",\"models_loaded\":" +
-              std::to_string(bundle->registry.loaded_count()) + "}";
-      return body;
-    }
-    if (request.path == "/statusz") {
-      TickStats();
-      auto format = request.params.find("format");
-      if (format != request.params.end() && format->second == "json") {
-        return obs::StatuszJson();
-      }
-      *content_type = "text/plain";
-      return obs::StatuszText();
-    }
-    if (request.path == "/metricsz") {
-      TickStats();
-      *content_type = "text/plain; version=0.0.4; charset=utf-8";
-      return obs::RenderPrometheusText(
-          obs::MetricsRegistry::Global().Snapshot());
-    }
-    if (request.path == "/v1/topics") {
-      return HandleTopics(*bundle, request, code);
-    }
-    if (request.path == "/v1/recommend") {
-      return HandleRecommend(*bundle, request, code);
-    }
-    if (request.path == "/v1/similar") {
-      return HandleSimilar(*bundle, request, code);
-    }
-    *code = 404;
-    return JsonError(Status::NotFound("no such endpoint: " + request.path));
-  }
-
   void ServeConnection(int fd) {
     std::string buffer;
     while (!stopping.load(std::memory_order_relaxed)) {
       std::string head;
       if (!ReadRequestHead(fd, buffer, head)) break;
-      // The span opens after the request head arrives (keep-alive idle
-      // time is not request latency) and closes before the response
-      // hits the wire bookkeeping below.
+      // Span and clock start once the request head has arrived:
+      // keep-alive idle time is not request latency.
       obs::TraceSpan span("serve.http.request");
-      obs::ScopedTimer timer(request_seconds);
-      requests_total->Increment();
-      int code = 200;
-      std::string content_type;
-      std::string body;
-      bool keep_alive = false;
+      const double start_us = obs::NowMicros();
+      Result<HttpRequest> request = ParseRequestHead(head);
       Route route = Route::kOther;
       int generation = -1;
-      Result<HttpRequest> request = ParseRequestHead(head);
-      if (!request.ok()) {
-        code = 400;
-        content_type = "application/json";
-        body = JsonError(request.status());
+      Response response;
+      if (request.ok()) {
+        route = RouteForPath(request->path);
+        std::shared_ptr<const ServingSnapshot> bundle = CurrentSnapshot();
+        generation = bundle->generation;
+        response = Dispatch(*request, route, *bundle);
       } else {
-        keep_alive = request.value().keep_alive;
-        body = Dispatch(request.value(), &code, &content_type, &route,
-                        &generation);
+        response = ErrorResponse(request.status());
       }
-      if (code >= 400) errors_total->Increment();
-      const double elapsed_s = timer.Stop();
-      recorder->Record(route, code, elapsed_s, generation);
-      if (!SendAll(fd, RenderResponse(code, content_type, body,
-                                      keep_alive))) {
+      recorder.Record(route, response.code,
+                      (obs::NowMicros() - start_us) / 1e6, generation);
+      const bool keep_alive = request.ok() && request->keep_alive;
+      if (!SendAll(fd, RenderResponse(response, keep_alive)) || !keep_alive) {
         break;
       }
-      if (!keep_alive) break;
     }
+    CloseConnection(fd);
+  }
+
+  void CloseConnection(int fd) {
+    std::lock_guard<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
+    live_fds.erase(fd);
     ::close(fd);
+    // Notified under the lock: once Stop() sees the set empty it may
+    // destroy this Impl, so the unlock is the last touch of it.
+    if (live_fds.empty()) conn_drained.notify_all();
   }
 
   void AcceptLoop() {
@@ -581,13 +572,25 @@ struct Server::Impl {
       }
       int nodelay = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-      std::lock_guard<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
-      if (stopping.load(std::memory_order_relaxed)) {
-        ::close(fd);
-        break;
+      {
+        std::lock_guard<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
+        if (stopping.load(std::memory_order_relaxed)) {
+          ::close(fd);
+          break;
+        }
+        live_fds.insert(fd);
       }
-      conn_fds.push_back(fd);
-      conn_threads.emplace_back([this, fd] { ServeConnection(fd); });
+      try {
+        // Detached: the thread unregisters and closes its own fd, and
+        // Stop() waits for live_fds to drain instead of joining.
+        // hlm-lint: allow(no-raw-thread)
+        std::thread([this, fd] { ServeConnection(fd); }).detach();
+      } catch (const std::system_error& e) {
+        (void)obs::TrackError(
+            "serve", Status::Internal(std::string("connection thread: ") +
+                                      e.what()));
+        CloseConnection(fd);
+      }
     }
   }
 
@@ -602,12 +605,9 @@ struct Server::Impl {
       }
       if (stopping.load(std::memory_order_relaxed)) return;
       TickStats();
-      Result<bool> swapped = ReloadIfChanged();
-      if (!swapped.ok()) {
-        // Already error-counted (TrackError) and logged; keep polling —
-        // the next manifest version may load fine.
-        continue;
-      }
+      // A failed reload is already error-counted and logged; keep
+      // polling, since the next manifest version may load fine.
+      (void)ReloadIfChanged();
     }
   }
 
@@ -617,19 +617,16 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(watcher_mu);  // hlm-lint: allow(lock-discipline)
     }
     watcher_cv.notify_all();
-    // Shut down the listen socket to kick accept() out of its block,
-    // then every connection socket to kick recv() out of its block.
+    // Shut down the listen socket to kick accept() out of its block.
     if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
-    {
-      std::lock_guard<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
-      for (int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
-    }
     if (accept_thread.joinable()) accept_thread.join();
     if (watcher_thread.joinable()) watcher_thread.join();
-    // After the accept loop exited no new connection threads can start;
-    // conn_threads is stable now.
-    for (std::thread& conn : conn_threads) {  // hlm-lint: allow(no-raw-thread)
-      if (conn.joinable()) conn.join();
+    // No connection registers any more. Kick the live ones out of
+    // recv() and wait until each has closed its own fd.
+    {
+      std::unique_lock<std::mutex> lock(conn_mu);  // hlm-lint: allow(lock-discipline)
+      for (int fd : live_fds) ::shutdown(fd, SHUT_RDWR);
+      conn_drained.wait(lock, [this] { return live_fds.empty(); });
     }
     if (listen_fd >= 0) {
       ::close(listen_fd);
@@ -653,7 +650,7 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerConfig& config) {
   impl.config = config;
 
   HLM_ASSIGN_OR_RETURN(std::shared_ptr<const ServingSnapshot> bundle,
-                       LoadSnapshot(config));
+                       LoadSnapshot(config.manifest_path));
 
   impl.listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (impl.listen_fd < 0) {

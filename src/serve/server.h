@@ -23,19 +23,6 @@ struct ServerConfig {
   /// explicit ReloadIfChanged() calls (what the bench suite and the
   /// deterministic tests do).
   int poll_interval_ms = 0;
-
-  /// Registry model names the endpoints resolve at snapshot load.
-  /// `recommend_model` must be an LDA snapshot (topics + conditional
-  /// scorer); `similar_model` a representation matrix.
-  std::string recommend_model = "lda";
-  std::string similar_model = "lda-repr";
-
-  /// Tail-sampling policy for per-request tracing (see
-  /// serve/request_recorder.h): requests at or above the threshold, or
-  /// with an error status, are always kept in the flight recorder;
-  /// 1 in `trace_sample_every` of the rest is kept too.
-  double slow_request_threshold_s = 0.25;
-  long long trace_sample_every = 100;
 };
 
 /// Online recommendation server over a model-registry snapshot
@@ -52,21 +39,29 @@ struct ServerConfig {
 ///   /v1/recommend?tokens=1,2&k=5    top-k next products, owned excluded
 ///   /v1/similar?company=7&k=5       nearest companies by representation
 ///
-/// Telemetry: every request is timed into the aggregate and per-route
-/// hlm.serve.http.* metrics (request_recorder.h), wrapped in a
+/// Models: every snapshot must register an LDA model named "lda"
+/// (/v1/topics, /v1/recommend) and a representation named "lda-repr"
+/// (/v1/similar), which is what every snapshot producer writes.
+///
+/// Telemetry: every request is timed once into the per-route
+/// hlm.serve.http.<route>.* metrics (request_recorder.h), wrapped in a
 /// serve.http.request trace span, and tail-sampled into the flight
 /// recorder. The watcher thread (and the /statusz + /metricsz handlers)
 /// tick the global TimeSeriesCollector, so windowed QPS/latency appear
 /// whenever the server runs with a watcher or is scraped periodically.
 ///
-/// Read path: every request loads one immutable snapshot bundle
-/// (registry + eagerly-loaded models + similarity index) through an
-/// atomic shared_ptr — no lock is taken while answering. A watcher
-/// thread polls the manifest (mtime + content hash) and atomically
-/// swaps in a freshly loaded bundle; in-flight requests keep their old
-/// bundle alive, so generations can roll with zero dropped requests.
-/// A manifest that fails to load is counted and skipped — the server
-/// keeps answering from the previous generation.
+/// Read path: every request takes one immutable snapshot bundle
+/// (registry + eagerly-loaded models + similarity index) by copying a
+/// shared_ptr under a mutex held only for the refcount bump; answering
+/// takes no lock. A watcher thread polls the manifest (mtime + content
+/// hash) and swaps in a freshly loaded bundle; in-flight requests keep
+/// their old bundle alive, so generations can roll with zero dropped
+/// requests. A manifest that fails to load is counted and skipped — the
+/// server keeps answering from the previous generation.
+///
+/// Connections: one detached thread per connection, which closes and
+/// unregisters its own fd when the peer leaves, so a finished
+/// connection leaves nothing behind.
 class Server {
  public:
   /// Loads the initial snapshot, binds + listens, and starts the
@@ -92,8 +87,9 @@ class Server {
   /// concurrently with the watcher and with in-flight requests.
   Result<bool> ReloadIfChanged();
 
-  /// Stops accepting, wakes blocked connections, joins every server
-  /// thread. Idempotent; the destructor calls it.
+  /// Stops accepting, shuts down the still-open connections, and waits
+  /// until every connection thread has closed its fd and the accept and
+  /// watcher threads have exited. Idempotent; the destructor calls it.
   void Stop();
 
  private:

@@ -12,11 +12,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "corpus/generator.h"
@@ -81,6 +83,76 @@ Result<HttpResponse> Get(int port, const std::string& path) {
   auto client = HttpClient::Connect("127.0.0.1", port);
   if (!client.ok()) return client.status();
   return client.value().Get(path);
+}
+
+/// Opens a plain TCP connection to the server (5 s receive deadline so a
+/// wedged server fails the test instead of hanging it). -1 on failure.
+int ConnectRaw(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  struct timeval timeout {5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends `request` verbatim on a fresh connection and returns every byte
+/// the server writes before it closes (requests here ask for
+/// Connection: close or are malformed, so the server always closes).
+std::string RawExchange(int port, const std::string& request) {
+  int fd = ConnectRaw(port);
+  if (fd < 0) return "connect failed";
+  std::string response;
+  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(request.size())) {
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      response.append(chunk, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+/// Status code and body of one close-delimited raw exchange.
+struct RawResponse {
+  int code = 0;
+  std::string body;
+};
+
+RawResponse RawGet(int port, const std::string& request) {
+  const std::string response = RawExchange(port, request);
+  RawResponse parsed;
+  if (response.rfind("HTTP/1.1 ", 0) == 0) {
+    parsed.code = std::atoi(response.c_str() + 9);
+  }
+  const size_t body_at = response.find("\r\n\r\n");
+  if (body_at != std::string::npos) parsed.body = response.substr(body_at + 4);
+  return parsed;
+}
+
+std::string GetRequest(const std::string& path) {
+  return "GET " + path + " HTTP/1.1\r\nConnection: close\r\n\r\n";
+}
+
+/// Number of mappings in this process's address space: each leaked
+/// thread stack shows up here as a mapping plus its guard page.
+int CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  int lines = 0;
+  std::string line;
+  while (std::getline(maps, line)) ++lines;
+  return lines;
 }
 
 TEST(ServerTest, EndpointsServeJsonAndErrors) {
@@ -149,6 +221,164 @@ TEST(ServerTest, EndpointsServeJsonAndErrors) {
     EXPECT_EQ(response.value().status_code, 200);
   }
   server.value()->Stop();
+}
+
+// Golden bodies: the exact bytes every /v1 route and every error path
+// answers for a fixed snapshot. Any refactor of the handlers must keep
+// these byte-identical (the generation is process-wide, so it is read
+// back rather than pinned).
+TEST(ServerTest, GoldenResponseBodies) {
+  const std::string dir = TempDirFor("server_golden");
+  const std::string manifest = BuildSnapshotDir(dir);
+  ServerConfig config;
+  config.manifest_path = manifest;
+  auto server = Server::Start(config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  const std::string generation =
+      "{\"generation\":" + std::to_string(server.value()->generation());
+
+  struct Golden {
+    std::string request;
+    int code;
+    std::string body;
+  };
+  const std::vector<Golden> goldens = {
+      {GetRequest("/v1/topics?tokens=0,1,2"), 200,
+       generation + ",\"topics\":[0.818181818,0.151515152,0.030303030]}"},
+      {GetRequest("/v1/topics?tokens="), 200,
+       generation + ",\"topics\":[0.333333333,0.333333333,0.333333333]}"},
+      {GetRequest("/v1/recommend?tokens=0,1&k=3"), 200,
+       generation + ",\"items\":[{\"product\":16,\"score\":0.267657690},"
+                    "{\"product\":36,\"score\":0.232701011},"
+                    "{\"product\":7,\"score\":0.163127247}]}"},
+      {GetRequest("/v1/recommend?tokens=3"), 200,
+       generation + ",\"items\":[{\"product\":16,\"score\":0.125471142},"
+                    "{\"product\":36,\"score\":0.112421372},"
+                    "{\"product\":31,\"score\":0.108182342},"
+                    "{\"product\":7,\"score\":0.092146028},"
+                    "{\"product\":25,\"score\":0.082289794}]}"},
+      {GetRequest("/v1/similar?company=2&k=3"), 200,
+       generation + ",\"neighbors\":[{\"company\":37,\"distance\":0.000067162},"
+                    "{\"company\":0,\"distance\":0.000543450},"
+                    "{\"company\":5,\"distance\":0.000543450}]}"},
+      {GetRequest("/v1/recommend?tokens=abc"), 400,
+       "{\"error\":\"not an integer: abc\"}"},
+      {GetRequest("/v1/topics?tokens=1,-2"), 400,
+       "{\"error\":\"negative token id: -2\"}"},
+      {GetRequest("/v1/recommend?tokens=1&k=0"), 400,
+       "{\"error\":\"k out of range: 0\"}"},
+      {GetRequest("/v1/similar?k=3"), 400,
+       "{\"error\":\"missing required param: company\"}"},
+      {GetRequest("/v1/similar?company=2,3"), 400,
+       "{\"error\":\"not an integer: 2,3\"}"},
+      {"garbage\r\n\r\n", 400,
+       "{\"error\":\"malformed request line: garbage\"}"},
+      {GetRequest("/v1/nope"), 404,
+       "{\"error\":\"no such endpoint: /v1/nope\"}"},
+      {"POST /v1/topics HTTP/1.1\r\nConnection: close\r\n\r\n", 405,
+       "{\"error\":\"only GET is supported\"}"},
+  };
+  for (const Golden& golden : goldens) {
+    const RawResponse response = RawGet(port, golden.request);
+    EXPECT_EQ(response.code, golden.code) << golden.request;
+    EXPECT_EQ(response.body, golden.body) << golden.request;
+  }
+  server.value()->Stop();
+}
+
+// Ids are range-checked on their parsed 64-bit value: 2^32 + 7 must not
+// wrap onto company 7, nor 2^32 + 1 onto token 1.
+TEST(ServerTest, OutOfRangeIdsAreRejectedNotWrapped) {
+  const std::string dir = TempDirFor("server_wide_ids");
+  const std::string manifest = BuildSnapshotDir(dir);
+  ServerConfig config;
+  config.manifest_path = manifest;
+  auto server = Server::Start(config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  const std::string company_error =
+      "{\"error\":\"company out of range: 4294967303\"}";
+  const std::string token_error =
+      "{\"error\":\"token out of range: 4294967297\"}";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"/v1/similar?company=4294967303", company_error},
+      {"/v1/topics?tokens=4294967297", token_error},
+      {"/v1/recommend?tokens=4294967297", token_error},
+  };
+  for (const auto& [path, error] : cases) {
+    const RawResponse response = RawGet(port, GetRequest(path));
+    EXPECT_EQ(response.code, 400) << path << " answered " << response.body;
+    EXPECT_EQ(response.body, error) << path;
+  }
+  server.value()->Stop();
+}
+
+// Hundreds of short connections must leave the address space where it
+// started: each finished connection releases its thread and its fd.
+TEST(ServerTest, ConnectionChurnLeavesNoResidue) {
+  const std::string dir = TempDirFor("server_churn");
+  const std::string manifest = BuildSnapshotDir(dir);
+  ServerConfig config;
+  config.manifest_path = manifest;
+  auto server = Server::Start(config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  auto one_connection = [port] {
+    auto response = Get(port, "/healthz?format=text");
+    return response.ok() && response.value().status_code == 200;
+  };
+  // Warm up allocator arenas and the thread-stack cache first.
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(one_connection());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const int before = CountMappings();
+
+  constexpr int kConnections = 600;
+  constexpr int kMargin = 32;
+  for (int i = 0; i < kConnections; ++i) ASSERT_TRUE(one_connection()) << i;
+  // The last connections' threads may still be winding down.
+  int after = CountMappings();
+  for (int wait = 0; wait < 100 && after > before + kMargin; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after = CountMappings();
+  }
+  EXPECT_LE(after, before + kMargin)
+      << kConnections << " connections grew the mapping count from "
+      << before << " to " << after;
+  server.value()->Stop();
+}
+
+// Stop() must not wait for idle keep-alive clients to hang up: it wakes
+// their connection threads, and the client then reads EOF.
+TEST(ServerTest, StopClosesIdleKeepAliveConnections) {
+  const std::string dir = TempDirFor("server_stop_idle");
+  const std::string manifest = BuildSnapshotDir(dir);
+  ServerConfig config;
+  config.manifest_path = manifest;
+  auto server = Server::Start(config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int fd = ConnectRaw(server.value()->port());
+  ASSERT_GE(fd, 0);
+  const std::string request = "GET /healthz?format=text HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char chunk[4096];
+  while (response.find("\r\n\r\nok") == std::string::npos) {
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "no response to the keep-alive request";
+    response.append(chunk, static_cast<size_t>(n));
+  }
+  EXPECT_NE(response.find("Connection: keep-alive"), std::string::npos);
+
+  const auto start = std::chrono::steady_clock::now();
+  server.value()->Stop();
+  const double stop_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  EXPECT_LT(stop_s, 2.0);
+  EXPECT_EQ(::recv(fd, chunk, sizeof(chunk), 0), 0);
+  ::close(fd);
 }
 
 TEST(ServerTest, ManualReloadSwapsGenerationExactlyWhenChanged) {
@@ -368,27 +598,25 @@ TEST(RequestRecorderTest, CountsRoutesAndKeepsTails) {
   const long long slow_before = value("hlm.serve.trace.slow_total");
   const long long sampled_before = value("hlm.serve.trace.sampled_total");
 
-  RequestRecorderOptions options;
-  options.slow_request_threshold_s = 0.05;
-  options.sample_every = 3;
-  RequestRecorder recorder(options);
+  RequestRecorder recorder;
 
-  // Ordinals 1 and 2: fast, successful, unsampled — not kept.
-  recorder.Record(Route::kRecommend, 200, 0.001, 1);
-  recorder.Record(Route::kRecommend, 200, 0.001, 1);
-  // Ordinal 3: the 1-in-3 sample fires — kept via sampling.
+  // Ordinals 1..99: fast, successful, unsampled — not kept.
+  for (int i = 1; i < kTraceSampleEvery; ++i) {
+    recorder.Record(Route::kRecommend, 200, 0.001, 1);
+  }
+  // Ordinal 100: the 1-in-100 sample fires — kept via sampling.
   recorder.Record(Route::kRecommend, 200, 0.001, 1);
   // Error: always kept, never double-counted as sampled.
   recorder.Record(Route::kSimilar, 404, 0.001, 1);
   // Slow: at/above the threshold — always kept.
-  recorder.Record(Route::kTopics, 200, 0.2, 1);
+  recorder.Record(Route::kTopics, 200, 0.3, 1);
 
   EXPECT_EQ(value("hlm.serve.http.recommend.requests_total") -
                 recommend_before,
-            3);
+            100);
   EXPECT_EQ(value("hlm.serve.http.recommend.status_2xx_total") -
                 recommend_2xx_before,
-            3);
+            100);
   EXPECT_EQ(value("hlm.serve.http.similar.errors_total") -
                 similar_errors_before,
             1);

@@ -2,17 +2,13 @@
 // snapshot directory (see DESIGN.md "Serving").
 //
 //   hlm_serve --manifest DIR/manifest.txt [--port P] [--port_file F]
-//             [--poll_interval_ms MS] [--recommend_model NAME]
-//             [--similar_model NAME] [--slow_request_threshold_s S]
-//             [--trace_sample_every N]
+//             [--poll_interval_ms MS]
 //
 // Binds 127.0.0.1:<port> (port 0 picks an ephemeral port and prints
 // it; --port_file additionally writes it for scripts), serves
 // /healthz, /statusz, /metricsz, /v1/topics, /v1/recommend,
-// /v1/similar, and hot reloads the manifest when it changes on disk.
-// Requests slower than --slow_request_threshold_s (or with an error
-// status) are always kept in the flight recorder; 1 in
-// --trace_sample_every of the rest is kept too. SIGINT/SIGTERM stop
+// /v1/similar from the manifest's "lda" and "lda-repr" models, and hot
+// reloads the manifest when it changes on disk. SIGINT/SIGTERM stop
 // the server cleanly.
 
 #include <chrono>
@@ -40,10 +36,6 @@ int main(int argc, char** argv) {
   std::string port_file;
   long long port = 0;
   long long poll_interval_ms = 200;
-  std::string recommend_model = "lda";
-  std::string similar_model = "lda-repr";
-  double slow_request_threshold_s = 0.25;
-  long long trace_sample_every = 100;
 
   hlm::FlagSet flags;
   flags.AddString("manifest", &manifest, "registry manifest path");
@@ -52,15 +44,6 @@ int main(int argc, char** argv) {
                   "write the bound port here (for scripts)");
   flags.AddInt64("poll_interval_ms", &poll_interval_ms,
                  "manifest poll interval; <= 0 disables hot reload");
-  flags.AddString("recommend_model", &recommend_model,
-                  "registry name of the LDA model for /v1/recommend");
-  flags.AddString("similar_model", &similar_model,
-                  "registry name of the representation for /v1/similar");
-  flags.AddDouble("slow_request_threshold_s", &slow_request_threshold_s,
-                  "requests at/above this duration always reach the "
-                  "flight recorder");
-  flags.AddInt64("trace_sample_every", &trace_sample_every,
-                 "keep 1 in N fast, successful requests (<= 1 keeps all)");
   hlm::Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n%s", parsed.ToString().c_str(),
@@ -76,10 +59,6 @@ int main(int argc, char** argv) {
   config.manifest_path = manifest;
   config.port = static_cast<int>(port);
   config.poll_interval_ms = static_cast<int>(poll_interval_ms);
-  config.recommend_model = recommend_model;
-  config.similar_model = similar_model;
-  config.slow_request_threshold_s = slow_request_threshold_s;
-  config.trace_sample_every = trace_sample_every;
 
   hlm::Result<std::unique_ptr<hlm::serve::Server>> server =
       hlm::serve::Server::Start(config);
