@@ -20,6 +20,7 @@
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "models/lda.h"
+#include "obs/json.h"
 #include "recsys/evaluation.h"
 
 namespace hlm {
@@ -60,29 +61,23 @@ std::vector<int> ThreadCounts() {
 }
 
 std::string ToJson(const std::vector<Workload>& workloads) {
-  std::string out = "{\n";
-  out += "  \"run_id\": \"" + bench::RunId() + "\",\n";
-  out += "  \"host_cores\": " +  // hlm-lint: allow(no-raw-thread)
-         std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  out += "  \"workloads\": [\n";
-  for (size_t w = 0; w < workloads.size(); ++w) {
-    const Workload& workload = workloads[w];
-    out += "    {\"name\": \"" + workload.name + "\", \"identical\": " +
-           (workload.identical ? "true" : "false") + ", \"series\": [";
-    for (size_t i = 0; i < workload.series.size(); ++i) {
-      const SeriesPoint& p = workload.series[i];
-      char buffer[128];
-      std::snprintf(buffer, sizeof(buffer),
-                    "%s{\"threads\": %d, \"seconds\": %.6f, "
-                    "\"speedup\": %.3f}",
-                    i > 0 ? ", " : "", p.threads, p.seconds, p.speedup);
-      out += buffer;
+  obs::JsonWriter json;
+  json.BeginObject().Key("run_id").String(bench::RunId());
+  json.Key("host_cores")  // hlm-lint: allow(no-raw-thread)
+      .Int(std::thread::hardware_concurrency());
+  json.Key("workloads").BeginArray();
+  for (const Workload& workload : workloads) {
+    json.BeginObject().Key("name").String(workload.name);
+    json.Key("identical").Bool(workload.identical);
+    json.Key("series").BeginArray();
+    for (const SeriesPoint& p : workload.series) {
+      json.BeginObject().Key("threads").Int(p.threads);
+      json.Key("seconds").Number(p.seconds);
+      json.Key("speedup").Number(p.speedup).EndObject();
     }
-    out += "]}";
-    out += (w + 1 < workloads.size()) ? ",\n" : "\n";
+    json.EndArray().EndObject();
   }
-  out += "  ]\n}\n";
-  return out;
+  return json.EndArray().EndObject().Take() + "\n";
 }
 
 int Main(int argc, char** argv) {

@@ -52,7 +52,7 @@ void WriteObservabilityOutputs() {
       }
     }
     std::ofstream out(g_metrics_out_path);
-    if (out) out << snapshot.ToJson();
+    if (out) out << snapshot.ToJson() << "\n";
     if (!out) {
       std::fprintf(stderr, "WARNING: failed to write metrics to %s\n",
                    g_metrics_out_path.c_str());

@@ -131,7 +131,7 @@ if "lda.train.done" not in names:
 print(f"ok: {len(names)} events, all lines parse with the full schema")
 PY
 else
-  grep -q '"name": "lda.train.done"' "$EVENTS_JSONL" ||
+  grep -q '"name":"lda.train.done"' "$EVENTS_JSONL" ||
     { echo "missing lda.train.done event in $EVENTS_JSONL" >&2; exit 1; }
   echo "ok (grep-level check; python3 not found)"
 fi
@@ -183,7 +183,7 @@ if "statusz.selfcheck.arm" not in names:
 print(f"ok: crash dump parses with {len(entries)} entries")
 PY
 else
-  grep -q '"run_id": "selfcheck"' "$CRASH_DUMP" ||
+  grep -q '"run_id":"selfcheck"' "$CRASH_DUMP" ||
     { echo "crash dump missing run_id" >&2; exit 1; }
   echo "ok (grep-level check; python3 not found)"
 fi
@@ -299,7 +299,7 @@ print(f"ok: loadgen report, {report['requests']} requests at "
       f"{report['achieved_qps']:.0f} QPS")
 PY
 else
-  grep -q '"schema_version": 1' "$SERVE_DIR/loadgen.json" ||
+  grep -q '"schema_version":1' "$SERVE_DIR/loadgen.json" ||
     { echo "loadgen --json_out report malformed" >&2; exit 1; }
   echo "ok (grep-level check; python3 not found)"
 fi

@@ -1,10 +1,7 @@
 #include "obs/events.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -19,13 +16,6 @@ namespace {
 // name built from unbounded input (ids, paths) cannot grow the name set
 // without bound.
 const char kOverflowName[] = "obs.events.overflow";
-
-std::string FormatDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 }  // namespace
 
@@ -44,32 +34,30 @@ const char* EventLevelName(EventLevel level) {
 }
 
 std::string EventValue::ToJson() const {
+  JsonWriter json;
   switch (kind_) {
-    case Kind::kBool:
-      return bool_ ? "true" : "false";
-    case Kind::kInt:
-      return std::to_string(int_);
-    case Kind::kDouble:
-      return FormatDouble(double_);
-    case Kind::kString:
-      return JsonQuote(string_);
+    case Kind::kBool: json.Bool(bool_); break;
+    case Kind::kInt: json.Int(int_); break;
+    case Kind::kDouble: json.Number(double_); break;
+    case Kind::kString: json.String(string_); break;
   }
-  return "null";
+  return json.Take();
+}
+
+std::string Event::AttrsJson() const {
+  JsonWriter json;
+  json.BeginObject();
+  for (const auto& [key, value] : attrs) json.Key(key).Raw(value.ToJson());
+  return json.EndObject().Take();
 }
 
 std::string Event::ToJsonLine() const {
-  std::ostringstream out;
-  out << "{\"ts_us\": " << FormatDouble(ts_us)
-      << ", \"level\": \"" << EventLevelName(level)
-      << "\", \"name\": " << JsonQuote(name)
-      << ", \"tid\": " << (thread_id % 1000000)
-      << ", \"span_id\": " << span_id << ", \"attrs\": {";
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << JsonQuote(attrs[i].first) << ": " << attrs[i].second.ToJson();
-  }
-  out << "}}";
-  return out.str();
+  JsonWriter json;
+  json.BeginObject().Key("ts_us").Number(ts_us);
+  json.Key("level").String(EventLevelName(level)).Key("name").String(name);
+  json.Key("tid").Int(static_cast<long long>(thread_id % 1000000));
+  json.Key("span_id").Int(span_id).Key("attrs").Raw(AttrsJson());
+  return json.EndObject().Take();
 }
 
 EventLog& EventLog::Global() {

@@ -62,9 +62,11 @@ struct Event {
   int64_t span_id = 0;
   std::vector<std::pair<std::string, EventValue>> attrs;
 
+  /// `attrs` as one JSON object, in insertion order.
+  std::string AttrsJson() const;
   /// One JSONL line (no trailing newline):
-  ///   {"ts_us": ..., "level": "info", "name": "...", "tid": ...,
-  ///    "span_id": ..., "attrs": {...}}
+  ///   {"ts_us":...,"level":"info","name":"...","tid":...,
+  ///    "span_id":...,"attrs":{...}}
   std::string ToJsonLine() const;
 };
 

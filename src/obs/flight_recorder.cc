@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.h"
 #include "obs/events.h"
@@ -17,12 +16,6 @@ namespace {
 
 std::mutex g_dump_dir_mu;
 std::string g_dump_dir = ".";  // guarded by g_dump_dir_mu
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 void DumpOnFatal() {
   const std::string path = CrashDumpPath();
@@ -69,15 +62,7 @@ void FlightRecorder::RecordEvent(const Event& event) {
   entry.level = EventLevelName(event.level);
   entry.thread_id = event.thread_id;
   entry.span_id = event.span_id;
-  std::ostringstream detail;
-  detail << "{";
-  for (size_t i = 0; i < event.attrs.size(); ++i) {
-    if (i > 0) detail << ", ";
-    detail << JsonQuote(event.attrs[i].first) << ": "
-           << event.attrs[i].second.ToJson();
-  }
-  detail << "}";
-  entry.detail = detail.str();
+  entry.detail = event.AttrsJson();
   Record(std::move(entry));
 }
 
@@ -89,11 +74,10 @@ void FlightRecorder::RecordSpanClose(const TraceEvent& event) {
   entry.level = "span";
   entry.thread_id = event.thread_id;
   entry.span_id = event.span_id;
-  std::ostringstream detail;
-  detail << "{\"duration_us\": " << FormatDouble(event.duration_us)
-         << ", \"parent_id\": " << event.parent_id
-         << ", \"depth\": " << event.depth << "}";
-  entry.detail = detail.str();
+  JsonWriter detail;
+  detail.BeginObject().Key("duration_us").Number(event.duration_us);
+  detail.Key("parent_id").Int(event.parent_id).Key("depth").Int(event.depth);
+  entry.detail = detail.EndObject().Take();
   Record(std::move(entry));
 }
 
@@ -116,23 +100,22 @@ std::vector<FlightEntry> FlightRecorder::Tail(size_t max_entries) const {
 }
 
 std::string FlightRecorder::ToJson(size_t max_entries) const {
-  std::vector<FlightEntry> entries = Tail(max_entries);
-  std::ostringstream out;
-  out << "{\n  \"run_id\": " << JsonQuote(TraceRecorder::Global().run_id())
-      << ",\n  \"dumped_at_us\": " << FormatDouble(NowMicros())
-      << ",\n  \"entries\": [\n";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const FlightEntry& e = entries[i];
-    out << "    {\"kind\": \""
-        << (e.kind == FlightEntry::Kind::kSpan ? "span" : "event")
-        << "\", \"seq\": " << e.seq << ", \"ts_us\": " << FormatDouble(e.ts_us)
-        << ", \"name\": " << JsonQuote(e.name) << ", \"level\": "
-        << JsonQuote(e.level) << ", \"tid\": " << (e.thread_id % 1000000)
-        << ", \"span_id\": " << e.span_id << ", \"detail\": " << e.detail
-        << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+  JsonWriter json;
+  json.BeginObject().Key("run_id").String(TraceRecorder::Global().run_id());
+  json.Key("dumped_at_us").Number(NowMicros());
+  json.Key("entries").BeginArray();
+  for (const FlightEntry& e : Tail(max_entries)) {
+    json.BeginObject().Key("kind").String(
+        e.kind == FlightEntry::Kind::kSpan ? "span" : "event");
+    json.Key("seq").Int(static_cast<long long>(e.seq));
+    json.Key("ts_us").Number(e.ts_us).Key("name").String(e.name);
+    json.Key("level").String(e.level);
+    json.Key("tid").Int(static_cast<long long>(e.thread_id % 1000000));
+    json.Key("span_id").Int(e.span_id);
+    json.Key("detail").Raw(e.detail.empty() ? "{}" : e.detail);
+    json.EndObject();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  return json.EndArray().EndObject().Take();
 }
 
 Status FlightRecorder::DumpToFile(const std::string& path,
@@ -142,7 +125,7 @@ Status FlightRecorder::DumpToFile(const std::string& path,
   // hlm-lint: allow(no-raw-persist-write)
   std::ofstream out(path);
   if (!out) return Status::Internal("cannot open for write: " + path);
-  out << ToJson(max_entries);
+  out << ToJson(max_entries) << "\n";
   out.flush();
   if (!out) return Status::DataLoss("short write: " + path);
   return Status::OK();

@@ -26,7 +26,7 @@ struct FlightEntry {
   std::string level;  ///< event level, or "span"
   uint64_t thread_id = 0;
   int64_t span_id = 0;
-  std::string detail;  ///< JSON object, e.g. {"sweep": 3}
+  std::string detail;  ///< JSON object, e.g. {"sweep":3}
 };
 
 /// Fixed-size, lock-striped ring buffer of the last ~N events and span

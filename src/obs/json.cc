@@ -1,13 +1,19 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/check.h"
+
 namespace hlm::obs {
 
-std::string JsonQuote(const std::string& raw) {
-  std::string out = "\"";
+namespace {
+
+void AppendQuoted(std::string& out, std::string_view raw) {
+  out.push_back('"');
   for (char c : raw) {
     unsigned char u = static_cast<unsigned char>(c);
     switch (c) {
@@ -43,6 +49,14 @@ std::string JsonQuote(const std::string& raw) {
     }
   }
   out.push_back('"');
+}
+
+}  // namespace
+
+std::string JsonQuote(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size() + 2);
+  AppendQuoted(out, raw);
   return out;
 }
 
@@ -244,6 +258,9 @@ class JsonValueParser {
     if (parse_end == nullptr || *parse_end != '\0') {
       return Error("unparsable number '" + span + "'");
     }
+    if (std::isinf(value)) {
+      return Error("number overflows a double '" + span + "'");
+    }
     out->kind_ = JsonValue::Kind::kNumber;
     out->number_ = value;
     return Status::OK();
@@ -290,6 +307,83 @@ size_t JsonValue::size() const {
     default:
       return 0;
   }
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  if (needs_comma_) out_.push_back(',');
+  out_.append(json);
+  needs_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  Raw(std::string_view(&bracket, 1));
+  needs_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  out_.push_back(bracket);
+  needs_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  out_.push_back(':');
+  needs_comma_ = false;  // the value follows the colon directly
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  Raw({});  // places the separator
+  AppendQuoted(out_, value);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double value) {
+  if (!std::isfinite(value)) return Null();
+  char buffer[32];
+  const int n = std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return Raw(std::string_view(buffer, static_cast<size_t>(n)));
+}
+
+JsonWriter& JsonWriter::Int(long long value) {
+  char buffer[24];
+  const char* end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  return Raw(std::string_view(buffer, static_cast<size_t>(end - buffer)));
+}
+
+JsonWriter& JsonWriter::Fixed(double value, int digits) {
+  HLM_CHECK(digits >= 0 && digits <= 17) << "Fixed digits " << digits;
+  if (!std::isfinite(value)) return Null();
+  // Wide enough for %.17f of the largest finite double (309 integer
+  // digits).
+  char buffer[352];
+  const int n = std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
+  return Raw(std::string_view(buffer, static_cast<size_t>(n)));
+}
+
+JsonWriter& JsonWriter::Value(const JsonValue& value) {
+  switch (value.kind()) {
+    case JsonValue::Kind::kNull:
+      return Null();
+    case JsonValue::Kind::kBool:
+      return Bool(value.AsBool());
+    case JsonValue::Kind::kNumber:
+      return Number(value.AsNumber());
+    case JsonValue::Kind::kString:
+      return String(value.AsString());
+    case JsonValue::Kind::kArray:
+      BeginArray();
+      for (const JsonValue& element : value.array()) Value(element);
+      return EndArray();
+    case JsonValue::Kind::kObject:
+      BeginObject();
+      for (const auto& [key, member] : value.object()) Key(key).Value(member);
+      return EndObject();
+  }
+  return *this;
 }
 
 }  // namespace hlm::obs

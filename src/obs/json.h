@@ -4,18 +4,24 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
 namespace hlm::obs {
 
+// This header owns the process's JSON format. Every document it emits
+// (metrics, statusz, traces, events, crash dumps, the /v1 bodies, tool
+// reports) is built with JsonWriter, and every document it reads back
+// is parsed with JsonValue. hlm-lint's no-hand-json rule keeps JSON
+// string literals out of the rest of src/.
+
 /// `raw` as a JSON string literal, quotes included. Escapes `"`, `\`,
 /// and every control character below 0x20 (named escapes for \b \f \n
 /// \r \t, \u00XX otherwise), so arbitrary span/metric names can never
-/// corrupt an exported document. Shared by the metrics and trace
-/// exporters; use this instead of hand-rolling quoting.
-std::string JsonQuote(const std::string& raw);
+/// corrupt an exported document.
+std::string JsonQuote(std::string_view raw);
 
 /// Inverse of JsonQuote's escaping for the payload between the quotes:
 /// decodes \" \\ \/ \b \f \n \r \t and \u00XX (code points above 0xFF
@@ -23,12 +29,9 @@ std::string JsonQuote(const std::string& raw);
 /// keep the escaped character verbatim.
 std::string JsonUnescape(const std::string& escaped);
 
-/// A parsed JSON document node: the generic counterpart to the
-/// schema-specific parsers scattered through the exporters, for tools
-/// (hlm_top) that consume whole /statusz documents rather than one
-/// known shape. Numbers are doubles (the only numeric type this
-/// codebase's JSON emitters produce); object keys keep first-wins
-/// semantics on duplicates.
+/// A parsed JSON document node; the one JSON parser in the process.
+/// Numbers are doubles (a literal that overflows one is an error);
+/// object keys keep first-wins semantics on duplicates.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -67,6 +70,53 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 
   friend class JsonValueParser;
+};
+
+/// Streaming writer for compact JSON (`{"k":v,...}`, no whitespace).
+/// Commas come by construction: every key, value and Begin* call adds
+/// the separator its predecessor needs, so callers never track a
+/// "first" flag. Keys and strings are quoted through JsonQuote.
+/// Numbers have one format, %.17g, which round-trips every double; NaN
+/// and infinities, which JSON cannot spell, are written as null. There
+/// are no options: no indent, no precision setting.
+///
+///   JsonWriter json;
+///   json.BeginObject().Key("count").Int(3).Key("sum").Number(0.5)
+///       .EndObject();
+///   std::string doc = json.Take();  // {"count":3,"sum":0.5}
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+  /// Names the next value; only meaningful inside an object.
+  JsonWriter& Key(std::string_view key);
+
+  JsonWriter& String(std::string_view value);
+  JsonWriter& Number(double value);
+  JsonWriter& Int(long long value);
+  JsonWriter& Bool(bool value) { return Raw(value ? "true" : "false"); }
+  JsonWriter& Null() { return Raw("null"); }
+  /// `value` with exactly `digits` decimals (printf %.*f; non-finite is
+  /// null). Only for decimals that are a wire contract: the /v1 scores,
+  /// distances and topic weights (9), the /healthz uptime (3), and the
+  /// hlm_loadgen report. Everything else uses Number.
+  JsonWriter& Fixed(double value, int digits);
+  /// A fragment that is already JSON (e.g. a flight-recorder detail),
+  /// written verbatim.
+  JsonWriter& Raw(std::string_view json);
+  /// A parsed document, re-emitted (object members in key order).
+  JsonWriter& Value(const JsonValue& value);
+
+  std::string Take() { return std::move(out_); }
+
+ private:
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+
+  std::string out_;
+  bool needs_comma_ = false;  ///< an element precedes the next one
 };
 
 }  // namespace hlm::obs

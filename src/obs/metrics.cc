@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -38,13 +37,6 @@ void AtomicMax(std::atomic<double>* target, double value) {
          !target->compare_exchange_weak(current, value,
                                         std::memory_order_relaxed)) {
   }
-}
-
-std::string FormatNumber(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
 }
 
 }  // namespace
@@ -161,68 +153,34 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  meta_.clear();
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 std::string MetricsSnapshot::ToJson() const {
-  std::ostringstream out;
-  out << "{\n  \"meta\": {";
-  bool first = true;
-  for (const auto& [name, value] : meta) {
-    out << (first ? "\n" : ",\n") << "    " << JsonQuote(name) << ": "
-        << JsonQuote(value);
-    first = false;
-  }
-  out << (first ? "},\n" : "\n  },\n");
-  out << "  \"counters\": {";
-  first = true;
-  for (const auto& [name, value] : counters) {
-    out << (first ? "\n" : ",\n") << "    " << JsonQuote(name) << ": "
-        << value;
-    first = false;
-  }
-  out << (first ? "},\n" : "\n  },\n");
-  out << "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out << (first ? "\n" : ",\n") << "    " << JsonQuote(name) << ": "
-        << FormatNumber(value);
-    first = false;
-  }
-  out << (first ? "},\n" : "\n  },\n");
-  out << "  \"histograms\": {";
-  first = true;
+  JsonWriter json;
+  json.BeginObject().Key("meta").BeginObject();
+  for (const auto& [name, value] : meta) json.Key(name).String(value);
+  json.EndObject().Key("counters").BeginObject();
+  for (const auto& [name, value] : counters) json.Key(name).Int(value);
+  json.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, value] : gauges) json.Key(name).Number(value);
+  json.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms) {
-    out << (first ? "\n" : ",\n") << "    " << JsonQuote(name) << ": {\n";
-    out << "      \"count\": " << h.count << ",\n";
-    out << "      \"sum\": " << FormatNumber(h.sum) << ",\n";
-    out << "      \"min\": " << FormatNumber(h.min) << ",\n";
-    out << "      \"max\": " << FormatNumber(h.max) << ",\n";
-    out << "      \"mean\": " << FormatNumber(h.Mean()) << ",\n";
     PercentileSummary pct = SummarizePercentiles(h);
-    out << "      \"p50\": " << FormatNumber(pct.p50) << ",\n";
-    out << "      \"p90\": " << FormatNumber(pct.p90) << ",\n";
-    out << "      \"p99\": " << FormatNumber(pct.p99) << ",\n";
-    out << "      \"bounds\": [";
-    for (size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << FormatNumber(h.bounds[i]);
-    }
-    out << "],\n      \"bucket_counts\": [";
-    for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << h.bucket_counts[i];
-    }
-    out << "]\n    }";
-    first = false;
+    json.Key(name).BeginObject();
+    json.Key("count").Int(h.count);
+    json.Key("sum").Number(h.sum);
+    json.Key("min").Number(h.min);
+    json.Key("max").Number(h.max);
+    json.Key("mean").Number(h.Mean());
+    json.Key("p50").Number(pct.p50);
+    json.Key("p90").Number(pct.p90);
+    json.Key("p99").Number(pct.p99);
+    json.Key("bounds").BeginArray();
+    for (double bound : h.bounds) json.Number(bound);
+    json.EndArray().Key("bucket_counts").BeginArray();
+    for (long long count : h.bucket_counts) json.Int(count);
+    json.EndArray().EndObject();
   }
-  out << (first ? "}\n" : "\n  }\n") << "}\n";
-  return out.str();
+  json.EndObject().EndObject();
+  return json.Take();
 }
 
 std::string MetricsSnapshot::ToText() const {
@@ -258,167 +216,85 @@ std::string MetricsSnapshot::ToText() const {
 
 namespace {
 
-/// Recursive-descent parser for the exact JSON subset ToJson emits
-/// (objects, arrays, strings with JsonQuote's escapes, numbers).
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+Status NotA(const char* what, const std::string& where) {
+  return Status::DataLoss("metrics json: " + where + " is not " + what);
+}
 
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::DataLoss(std::string("expected '") + c + "' at offset " +
-                              std::to_string(pos_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
+/// A number, or null for a value that was not finite when written.
+Result<double> NumberOrNull(const JsonValue& value, const std::string& where) {
+  if (value.is_null()) return std::numeric_limits<double>::quiet_NaN();
+  if (value.kind() != JsonValue::Kind::kNumber) return NotA("a number", where);
+  return value.AsNumber();
+}
 
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
+Result<long long> Count(const JsonValue& value, const std::string& where) {
+  if (value.kind() != JsonValue::Kind::kNumber) return NotA("a number", where);
+  return static_cast<long long>(std::llround(value.AsNumber()));
+}
 
-  Result<std::string> ParseString() {
-    HLM_RETURN_IF_ERROR(Expect('"'));
-    std::string escaped;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      escaped.push_back(text_[pos_]);
-      // Keep escape pairs intact so an escaped quote cannot terminate.
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-        escaped.push_back(text_[pos_ + 1]);
-        ++pos_;
+Result<HistogramSnapshot> HistogramFromJson(const JsonValue& fields,
+                                            const std::string& name) {
+  if (!fields.is_object()) return NotA("an object", name);
+  HistogramSnapshot h;
+  for (const auto& [field, value] : fields.object()) {
+    const std::string where = name + "." + field;
+    if (field == "bounds" || field == "bucket_counts") {
+      if (!value.is_array()) return NotA("an array", where);
+      for (const JsonValue& element : value.array()) {
+        if (field == "bounds") {
+          HLM_ASSIGN_OR_RETURN(double bound, NumberOrNull(element, where));
+          h.bounds.push_back(bound);
+        } else {
+          HLM_ASSIGN_OR_RETURN(long long count, Count(element, where));
+          h.bucket_counts.push_back(count);
+        }
       }
-      ++pos_;
+      continue;
     }
-    HLM_RETURN_IF_ERROR(Expect('"'));
-    return JsonUnescape(escaped);
+    if (field == "count") {
+      HLM_ASSIGN_OR_RETURN(h.count, Count(value, where));
+      continue;
+    }
+    HLM_ASSIGN_OR_RETURN(double number, NumberOrNull(value, where));
+    if (field == "sum") {
+      h.sum = number;
+    } else if (field == "min") {
+      h.min = number;
+    } else if (field == "max") {
+      h.max = number;
+    }  // "mean"/"p50"/"p90"/"p99" are derived; ignore.
   }
-
-  Result<double> ParseNumber() {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::DataLoss("expected number at offset " +
-                              std::to_string(start));
-    }
-    return std::stod(text_.substr(start, pos_ - start));
-  }
-
-  Result<std::vector<double>> ParseNumberArray() {
-    HLM_RETURN_IF_ERROR(Expect('['));
-    std::vector<double> values;
-    if (!Peek(']')) {
-      while (true) {
-        HLM_ASSIGN_OR_RETURN(double v, ParseNumber());
-        values.push_back(v);
-        if (!Peek(',')) break;
-        ++pos_;
-      }
-    }
-    HLM_RETURN_IF_ERROR(Expect(']'));
-    return values;
-  }
-
-  /// Iterates "name": <value> members of an object; the callback parses
-  /// the value with this parser.
-  template <typename Fn>
-  Status ParseObject(const Fn& member) {
-    HLM_RETURN_IF_ERROR(Expect('{'));
-    if (!Peek('}')) {
-      while (true) {
-        HLM_ASSIGN_OR_RETURN(std::string name, ParseString());
-        HLM_RETURN_IF_ERROR(Expect(':'));
-        HLM_RETURN_IF_ERROR(member(name));
-        if (!Peek(',')) break;
-        ++pos_;
-      }
-    }
-    return Expect('}');
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+  return h;
+}
 
 }  // namespace
 
 Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
+  HLM_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(json));
+  if (!doc.is_object()) return NotA("an object", "document");
   MetricsSnapshot snapshot;
-  JsonParser parser(json);
-  Status status = parser.ParseObject([&](const std::string& section) {
-    if (section == "meta") {
-      return parser.ParseObject([&](const std::string& name) {
-        HLM_ASSIGN_OR_RETURN(std::string v, parser.ParseString());
-        snapshot.meta[name] = std::move(v);
-        return Status::OK();
-      });
+  for (const auto& [section, members] : doc.object()) {
+    if (section != "meta" && section != "counters" && section != "gauges" &&
+        section != "histograms") {
+      return Status::DataLoss("unknown metrics section: " + section);
     }
-    if (section == "counters") {
-      return parser.ParseObject([&](const std::string& name) {
-        HLM_ASSIGN_OR_RETURN(double v, parser.ParseNumber());
-        snapshot.counters[name] = static_cast<long long>(std::llround(v));
-        return Status::OK();
-      });
+    if (!members.is_object()) return NotA("an object", section);
+    for (const auto& [name, value] : members.object()) {
+      if (section == "meta") {
+        if (value.kind() != JsonValue::Kind::kString) {
+          return NotA("a string", name);
+        }
+        snapshot.meta[name] = value.AsString();
+      } else if (section == "counters") {
+        HLM_ASSIGN_OR_RETURN(snapshot.counters[name], Count(value, name));
+      } else if (section == "gauges") {
+        HLM_ASSIGN_OR_RETURN(snapshot.gauges[name], NumberOrNull(value, name));
+      } else {
+        HLM_ASSIGN_OR_RETURN(snapshot.histograms[name],
+                             HistogramFromJson(value, name));
+      }
     }
-    if (section == "gauges") {
-      return parser.ParseObject([&](const std::string& name) {
-        HLM_ASSIGN_OR_RETURN(double v, parser.ParseNumber());
-        snapshot.gauges[name] = v;
-        return Status::OK();
-      });
-    }
-    if (section == "histograms") {
-      return parser.ParseObject([&](const std::string& name) {
-        HistogramSnapshot h;
-        HLM_RETURN_IF_ERROR(parser.ParseObject([&](const std::string& field) {
-          if (field == "bounds") {
-            HLM_ASSIGN_OR_RETURN(h.bounds, parser.ParseNumberArray());
-            return Status::OK();
-          }
-          if (field == "bucket_counts") {
-            HLM_ASSIGN_OR_RETURN(std::vector<double> counts,
-                                 parser.ParseNumberArray());
-            h.bucket_counts.clear();
-            for (double c : counts) {
-              h.bucket_counts.push_back(
-                  static_cast<long long>(std::llround(c)));
-            }
-            return Status::OK();
-          }
-          HLM_ASSIGN_OR_RETURN(double v, parser.ParseNumber());
-          if (field == "count") {
-            h.count = static_cast<long long>(std::llround(v));
-          } else if (field == "sum") {
-            h.sum = v;
-          } else if (field == "min") {
-            h.min = v;
-          } else if (field == "max") {
-            h.max = v;
-          }  // "mean"/"p50"/"p90"/"p99" are derived; ignore.
-          return Status::OK();
-        }));
-        snapshot.histograms[name] = std::move(h);
-        return Status::OK();
-      });
-    }
-    return Status::DataLoss("unknown metrics section: " + section);
-  });
-  HLM_RETURN_IF_ERROR(status);
+  }
   return snapshot;
 }
 

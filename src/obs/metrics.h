@@ -103,6 +103,8 @@ const std::vector<double>& DefaultLatencyBounds();
 
 /// Point-in-time copy of every metric in a registry, exportable as JSON
 /// (machine-readable, the format behind BENCH_*.json) or aligned text.
+/// Non-finite gauges and histogram aggregates export as JSON null and
+/// read back as NaN.
 /// Both exports derive p50/p90/p99 for every histogram (interpolated,
 /// see obs/percentiles.h), so each `_seconds` histogram reads as a
 /// latency distribution rather than a bucket dump.
@@ -118,13 +120,16 @@ struct MetricsSnapshot {
   std::string ToJson() const;
   std::string ToText() const;
 
-  /// Parses a JSON document produced by ToJson (schema-specific parser;
-  /// used by tests and the tier-1 metrics checker).
+  /// Parses a JSON document produced by ToJson (compact, or the older
+  /// pretty-printed form). Unknown sections and wrongly typed values
+  /// are errors.
   static Result<MetricsSnapshot> FromJson(const std::string& json);
 };
 
 /// Named metric registry. Get* registers on first use and returns a
-/// stable pointer; callers cache the pointer outside their hot loop.
+/// pointer that stays valid for the registry's lifetime (metrics are
+/// never dropped); callers cache it outside their hot loop, often in a
+/// function-local static.
 /// Registration takes a mutex, metric mutation never does.
 class MetricsRegistry {
  public:
@@ -147,10 +152,6 @@ class MetricsRegistry {
       const std::vector<double>& bounds = DefaultLatencyBounds());
 
   MetricsSnapshot Snapshot() const;
-
-  /// Drops every registered metric. Invalidates previously returned
-  /// pointers; meant for test isolation, not production code.
-  void Reset();
 
  private:
   mutable std::mutex mu_;

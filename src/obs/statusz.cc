@@ -1,6 +1,5 @@
 #include "obs/statusz.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "obs/json.h"
@@ -10,12 +9,6 @@
 namespace hlm::obs {
 
 namespace {
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  return buffer;
-}
 
 std::string RunIdOf(const MetricsSnapshot& metrics) {
   auto it = metrics.meta.find("run_id");
@@ -36,27 +29,13 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
 
 std::string RenderStatuszText(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail) {
-  return RenderStatuszText(metrics, open_spans, flight_tail,
-                           WindowSummary{});
-}
-
-std::string RenderStatuszJson(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail) {
-  return RenderStatuszJson(metrics, open_spans, flight_tail,
-                           WindowSummary{});
-}
-
-std::string RenderStatuszText(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
                               const std::vector<FlightEntry>& flight_tail,
                               const WindowSummary& window) {
   std::ostringstream out;
   out << "==== hlm statusz ====\n";
   const std::string run_id = RunIdOf(metrics);
   if (!run_id.empty()) out << "run_id: " << run_id << "\n";
-  out << "uptime_us: " << FormatDouble(NowMicros()) << "\n";
+  out << "uptime_us: " << NowMicros() << "\n";
 
   out << "\n-- counters --\n";
   for (const auto& [name, value] : metrics.counters) {
@@ -65,7 +44,7 @@ std::string RenderStatuszText(const MetricsSnapshot& metrics,
 
   out << "\n-- gauges --\n";
   for (const auto& [name, value] : metrics.gauges) {
-    out << name << " " << FormatDouble(value) << "\n";
+    out << name << " " << value << "\n";
   }
 
   out << "\n-- latency percentiles --\n";
@@ -73,19 +52,16 @@ std::string RenderStatuszText(const MetricsSnapshot& metrics,
   for (const auto& [name, histogram] : metrics.histograms) {
     if (!EndsWith(name, "_seconds")) continue;
     PercentileSummary summary = SummarizePercentiles(histogram);
-    out << name << " " << histogram.count << " " << FormatDouble(summary.p50)
-        << " " << FormatDouble(summary.p90) << " "
-        << FormatDouble(summary.p99) << " " << FormatDouble(summary.max)
-        << "\n";
+    out << name << " " << histogram.count << " " << summary.p50 << " "
+        << summary.p90 << " " << summary.p99 << " " << summary.max << "\n";
   }
 
   if (!window.empty()) {
-    out << "\n-- windowed (last " << FormatDouble(window.window_s)
-        << "s, covered " << FormatDouble(window.covered_s) << "s) --\n";
+    out << "\n-- windowed (last " << window.window_s << "s, covered "
+        << window.covered_s << "s) --\n";
     out << "counter delta rate_per_s\n";
     for (const auto& [name, delta] : window.counter_deltas) {
-      out << name << " " << delta << " " << FormatDouble(window.Rate(name))
-          << "\n";
+      out << name << " " << delta << " " << window.Rate(name) << "\n";
     }
     out << "histogram count qps p50 p90 p99\n";
     for (const auto& [name, histogram] : window.histograms) {
@@ -96,9 +72,8 @@ std::string RenderStatuszText(const MetricsSnapshot& metrics,
           window.covered_s > 0
               ? static_cast<double>(histogram.count) / window.covered_s
               : 0.0;
-      out << name << " " << histogram.count << " " << FormatDouble(qps)
-          << " " << FormatDouble(summary.p50) << " "
-          << FormatDouble(summary.p90) << " " << FormatDouble(summary.p99)
+      out << name << " " << histogram.count << " " << qps << " "
+          << summary.p50 << " " << summary.p90 << " " << summary.p99
           << "\n";
     }
   }
@@ -127,8 +102,8 @@ std::string RenderStatuszText(const MetricsSnapshot& metrics,
   out << "span_id parent_id depth tid started_us name\n";
   for (const OpenSpanInfo& span : open_spans) {
     out << span.span_id << " " << span.parent_id << " " << span.depth << " "
-        << (span.thread_id % 1000000) << " " << FormatDouble(span.start_us)
-        << " " << span.name << "\n";
+        << (span.thread_id % 1000000) << " " << span.start_us << " "
+        << span.name << "\n";
   }
 
   out << "\n-- flight recorder tail (" << flight_tail.size() << ") --\n";
@@ -137,8 +112,7 @@ std::string RenderStatuszText(const MetricsSnapshot& metrics,
     out << entry.seq << " "
         << (entry.kind == FlightEntry::Kind::kSpan ? "span" : "event") << " "
         << entry.level << " " << (entry.thread_id % 1000000) << " "
-        << entry.span_id << " " << FormatDouble(entry.ts_us) << " "
-        << entry.name << " "
+        << entry.span_id << " " << entry.ts_us << " " << entry.name << " "
         << (entry.detail.empty() ? "{}" : entry.detail) << "\n";
   }
   return out.str();
@@ -148,98 +122,74 @@ std::string RenderStatuszJson(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
                               const std::vector<FlightEntry>& flight_tail,
                               const WindowSummary& window) {
-  std::ostringstream out;
-  out << "{\n\"run_id\": " << JsonQuote(RunIdOf(metrics))
-      << ",\n\"uptime_us\": " << FormatDouble(NowMicros()) << ",\n";
+  JsonWriter json;
+  json.BeginObject().Key("run_id").String(RunIdOf(metrics));
+  json.Key("uptime_us").Number(NowMicros());
 
-  out << "\"window\": {\"window_s\": " << FormatDouble(window.window_s)
-      << ", \"covered_s\": " << FormatDouble(window.covered_s)
-      << ",\n  \"counter_deltas\": {";
-  {
-    bool first = true;
-    for (const auto& [name, delta] : window.counter_deltas) {
-      out << (first ? "" : ", ") << JsonQuote(name) << ": " << delta;
-      first = false;
-    }
+  json.Key("window").BeginObject();
+  json.Key("window_s").Number(window.window_s);
+  json.Key("covered_s").Number(window.covered_s);
+  json.Key("counter_deltas").BeginObject();
+  for (const auto& [name, delta] : window.counter_deltas) {
+    json.Key(name).Int(delta);
   }
-  out << "},\n  \"counter_rates\": {";
-  {
-    bool first = true;
-    for (const auto& [name, delta] : window.counter_deltas) {
-      (void)delta;
-      out << (first ? "" : ", ") << JsonQuote(name) << ": "
-          << FormatDouble(window.Rate(name));
-      first = false;
-    }
+  json.EndObject().Key("counter_rates").BeginObject();
+  for (const auto& [name, _] : window.counter_deltas) {
+    json.Key(name).Number(window.Rate(name));
   }
-  out << "},\n  \"histograms\": {";
-  {
-    bool first = true;
-    for (const auto& [name, histogram] : window.histograms) {
-      HistogramSnapshot snapshot = histogram.ToSnapshot();
-      PercentileSummary summary = SummarizePercentiles(snapshot);
-      const double qps =
-          window.covered_s > 0
-              ? static_cast<double>(histogram.count) / window.covered_s
-              : 0.0;
-      out << (first ? "" : ",") << "\n    " << JsonQuote(name)
-          << ": {\"count\": " << histogram.count
-          << ", \"qps\": " << FormatDouble(qps)
-          << ", \"p50\": " << FormatDouble(summary.p50)
-          << ", \"p90\": " << FormatDouble(summary.p90)
-          << ", \"p99\": " << FormatDouble(summary.p99) << "}";
-      first = false;
-    }
+  json.EndObject().Key("histograms").BeginObject();
+  for (const auto& [name, histogram] : window.histograms) {
+    PercentileSummary summary = SummarizePercentiles(histogram.ToSnapshot());
+    const double qps =
+        window.covered_s > 0
+            ? static_cast<double>(histogram.count) / window.covered_s
+            : 0.0;
+    json.Key(name).BeginObject().Key("count").Int(histogram.count);
+    json.Key("qps").Number(qps).Key("p50").Number(summary.p50);
+    json.Key("p90").Number(summary.p90).Key("p99").Number(summary.p99);
+    json.EndObject();
   }
-  out << "}\n},\n";
+  json.EndObject().EndObject();
 
-  out << "\"percentiles\": {";
-  bool first = true;
+  json.Key("percentiles").BeginObject();
   for (const auto& [name, histogram] : metrics.histograms) {
     if (!EndsWith(name, "_seconds")) continue;
     PercentileSummary summary = SummarizePercentiles(histogram);
-    if (!first) out << ",";
-    first = false;
-    out << "\n  " << JsonQuote(name) << ": {\"count\": " << histogram.count
-        << ", \"p50\": " << FormatDouble(summary.p50)
-        << ", \"p90\": " << FormatDouble(summary.p90)
-        << ", \"p99\": " << FormatDouble(summary.p99)
-        << ", \"max\": " << FormatDouble(summary.max) << "}";
+    json.Key(name).BeginObject().Key("count").Int(histogram.count);
+    json.Key("p50").Number(summary.p50).Key("p90").Number(summary.p90);
+    json.Key("p99").Number(summary.p99).Key("max").Number(summary.max);
+    json.EndObject();
   }
-  out << "\n},\n";
+  json.EndObject();
 
-  out << "\"open_spans\": [";
-  for (size_t i = 0; i < open_spans.size(); ++i) {
-    const OpenSpanInfo& span = open_spans[i];
-    out << (i > 0 ? "," : "") << "\n  {\"span_id\": " << span.span_id
-        << ", \"parent_id\": " << span.parent_id
-        << ", \"depth\": " << span.depth
-        << ", \"tid\": " << (span.thread_id % 1000000)
-        << ", \"started_us\": " << FormatDouble(span.start_us)
-        << ", \"name\": " << JsonQuote(span.name) << "}";
+  json.Key("open_spans").BeginArray();
+  for (const OpenSpanInfo& span : open_spans) {
+    json.BeginObject().Key("span_id").Int(span.span_id);
+    json.Key("parent_id").Int(span.parent_id).Key("depth").Int(span.depth);
+    json.Key("tid").Int(static_cast<long long>(span.thread_id % 1000000));
+    json.Key("started_us").Number(span.start_us);
+    json.Key("name").String(span.name).EndObject();
   }
-  out << "\n],\n";
+  json.EndArray();
 
-  out << "\"flight_tail\": [";
-  for (size_t i = 0; i < flight_tail.size(); ++i) {
-    const FlightEntry& entry = flight_tail[i];
-    out << (i > 0 ? "," : "") << "\n  {\"seq\": " << entry.seq
-        << ", \"kind\": \""
-        << (entry.kind == FlightEntry::Kind::kSpan ? "span" : "event")
-        << "\", \"level\": " << JsonQuote(entry.level)
-        << ", \"tid\": " << (entry.thread_id % 1000000)
-        << ", \"span_id\": " << entry.span_id
-        << ", \"ts_us\": " << FormatDouble(entry.ts_us)
-        << ", \"name\": " << JsonQuote(entry.name)
-        << ", \"detail\": "
-        << (entry.detail.empty() ? "{}" : entry.detail) << "}";
+  json.Key("flight_tail").BeginArray();
+  for (const FlightEntry& entry : flight_tail) {
+    json.BeginObject().Key("seq").Int(static_cast<long long>(entry.seq));
+    json.Key("kind").String(
+        entry.kind == FlightEntry::Kind::kSpan ? "span" : "event");
+    json.Key("level").String(entry.level);
+    json.Key("tid").Int(static_cast<long long>(entry.thread_id % 1000000));
+    json.Key("span_id").Int(entry.span_id).Key("ts_us").Number(entry.ts_us);
+    json.Key("name").String(entry.name);
+    json.Key("detail").Raw(entry.detail.empty() ? "{}" : entry.detail);
+    json.EndObject();
   }
-  out << "\n],\n";
+  json.EndArray();
 
   // The full metrics document (meta + counters + gauges + histograms)
   // as produced by MetricsSnapshot::ToJson, embedded verbatim.
-  out << "\"metrics\": " << metrics.ToJson() << "\n}\n";
-  return out.str();
+  json.Key("metrics").Raw(metrics.ToJson());
+  return json.EndObject().Take();
 }
 
 namespace {

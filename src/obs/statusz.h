@@ -29,24 +29,17 @@ std::string StatuszJson(const StatuszOptions& options = {});
 
 /// Section renderers over pre-loaded parts, shared by the live path
 /// above and tools/hlm_statusz (which reads the parts from dump files
-/// and has no live open-span table — it passes {}). The four-argument
-/// overloads add the "windowed" section (rates + windowed percentiles
-/// over a WindowSummary); the three-argument forms render an empty
-/// window, preserving the pre-window callers.
-std::string RenderStatuszText(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail);
-std::string RenderStatuszJson(const MetricsSnapshot& metrics,
-                              const std::vector<OpenSpanInfo>& open_spans,
-                              const std::vector<FlightEntry>& flight_tail);
+/// and has no live open-span table — it passes {}). `window` feeds the
+/// "windowed" section (rates + windowed percentiles); an empty one
+/// renders that section empty.
 std::string RenderStatuszText(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
                               const std::vector<FlightEntry>& flight_tail,
-                              const WindowSummary& window);
+                              const WindowSummary& window = {});
 std::string RenderStatuszJson(const MetricsSnapshot& metrics,
                               const std::vector<OpenSpanInfo>& open_spans,
                               const std::vector<FlightEntry>& flight_tail,
-                              const WindowSummary& window);
+                              const WindowSummary& window = {});
 
 }  // namespace hlm::obs
 

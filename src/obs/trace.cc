@@ -3,7 +3,6 @@
 #include <chrono>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -196,41 +195,30 @@ std::string TraceRecorder::run_id() const {
 }
 
 std::string TraceRecorder::ToChromeJson() const {
-  std::vector<TraceEvent> events = Events();
-  std::map<uint64_t, std::string> names = ThreadNames();
-  const std::string id = run_id();
-  std::ostringstream out;
-  out.precision(15);
-  // Without a run id, stay with the historical bare-array format; with
-  // one, use the object form so the id is carried inside the file.
-  const char* indent = id.empty() ? "  " : "    ";
-  if (!id.empty()) {
-    out << "{\n  \"otherData\": {\"run_id\": " << JsonQuote(id)
-        << "},\n  \"traceEvents\": [\n";
-  } else {
-    out << "[\n";
-  }
+  JsonWriter json;
+  json.BeginObject().Key("otherData").BeginObject();
+  json.Key("run_id").String(run_id()).EndObject();
+  json.Key("traceEvents").BeginArray();
   // Thread-name metadata first, so viewers label lanes before any event
   // references the tid. std::map keeps the emission order deterministic.
-  size_t emitted = 0;
-  const size_t total = names.size() + events.size();
-  for (const auto& [tid, name] : names) {
-    out << indent << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-        << "\"tid\": " << (tid % 1000000)
-        << ", \"args\": {\"name\": " << JsonQuote(name) << "}}"
-        << (++emitted < total ? "," : "") << "\n";
+  for (const auto& [tid, name] : ThreadNames()) {
+    json.BeginObject().Key("name").String("thread_name");
+    json.Key("ph").String("M").Key("pid").Int(1);
+    json.Key("tid").Int(static_cast<long long>(tid % 1000000));
+    json.Key("args").BeginObject().Key("name").String(name).EndObject();
+    json.EndObject();
   }
-  for (const TraceEvent& e : events) {
-    out << indent << "{\"name\": " << JsonQuote(e.name) << ", \"cat\": "
-        << JsonQuote(e.category) << ", \"ph\": \"X\", \"ts\": " << e.start_us
-        << ", \"dur\": " << e.duration_us << ", \"pid\": 1, \"tid\": "
-        << (e.thread_id % 1000000)
-        << ", \"args\": {\"span_id\": " << e.span_id
-        << ", \"parent_id\": " << e.parent_id << ", \"depth\": " << e.depth
-        << "}}" << (++emitted < total ? "," : "") << "\n";
+  for (const TraceEvent& e : Events()) {
+    json.BeginObject().Key("name").String(e.name);
+    json.Key("cat").String(e.category).Key("ph").String("X");
+    json.Key("ts").Number(e.start_us).Key("dur").Number(e.duration_us);
+    json.Key("pid").Int(1);
+    json.Key("tid").Int(static_cast<long long>(e.thread_id % 1000000));
+    json.Key("args").BeginObject().Key("span_id").Int(e.span_id);
+    json.Key("parent_id").Int(e.parent_id).Key("depth").Int(e.depth);
+    json.EndObject().EndObject();
   }
-  out << (id.empty() ? "]\n" : "  ]\n}\n");
-  return out.str();
+  return json.EndArray().EndObject().Take();
 }
 
 Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
@@ -239,7 +227,7 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
   // hlm-lint: allow(no-raw-persist-write)
   std::ofstream out(path);
   if (!out) return Status::Internal("cannot open for write: " + path);
-  out << ToChromeJson();
+  out << ToChromeJson() << "\n";
   if (!out) return Status::DataLoss("short write: " + path);
   return Status::OK();
 }

@@ -119,11 +119,9 @@ class TraceRecorder {
   void Record(TraceEvent event);
 
   /// Tags every subsequent export with a run identifier (see
-  /// obs::ComputeRunId). With a run id set, ToChromeJson switches from
-  /// the bare event array to the equivalent chrome://tracing object
-  /// format so the id travels inside the file ("otherData"). Empty
-  /// clears the tag. Survives Clear(): the run identity outlives any
-  /// one batch of spans.
+  /// obs::ComputeRunId), carried as "otherData.run_id". Empty clears
+  /// the tag. Survives Clear(): the run identity outlives any one batch
+  /// of spans.
   void SetRunId(const std::string& run_id);
   std::string run_id() const;
 
@@ -143,6 +141,8 @@ class TraceRecorder {
   std::map<uint64_t, std::string> ThreadNames() const;
   void SetThreadName(uint64_t thread_id, const std::string& name);
 
+  /// The chrome://tracing object form, which Perfetto also reads:
+  /// {"otherData":{"run_id":...},"traceEvents":[...]}.
   std::string ToChromeJson() const;
   Status WriteChromeTrace(const std::string& path) const;
 

@@ -166,7 +166,9 @@ Response ErrorResponse(const Status& status) {
     case StatusCode::kUnimplemented: code = 405; break;
     default: break;
   }
-  return {code, kJson, "{\"error\":" + obs::JsonQuote(status.message()) + "}"};
+  obs::JsonWriter json;
+  json.BeginObject().Key("error").String(status.message()).EndObject();
+  return {code, kJson, json.Take()};
 }
 
 std::string RenderResponse(const Response& response, bool keep_alive) {
@@ -312,17 +314,14 @@ Result<int> ParseK(const Params& params) {
 }
 
 /// Renders the /v1 success envelope {"generation":N,"<key>":[...]},
-/// one `render(item)` per element.
+/// one `render(json, item)` per element.
 template <typename T, typename Render>
 std::string Envelope(int generation, const char* key,
                      const std::vector<T>& items, Render render) {
-  std::string body = "{\"generation\":" + std::to_string(generation) +
-                     ",\"" + key + "\":[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) body += ",";
-    body += render(items[i]);
-  }
-  return body + "]}";
+  obs::JsonWriter json;
+  json.BeginObject().Key("generation").Int(generation).Key(key).BeginArray();
+  for (const T& item : items) render(json, item);
+  return json.EndArray().EndObject().Take();
 }
 
 Result<std::string> HandleTopics(const ServingSnapshot& bundle,
@@ -331,7 +330,7 @@ Result<std::string> HandleTopics(const ServingSnapshot& bundle,
                        ParseTokens(params, bundle.lda->vocab_size()));
   return Envelope(bundle.generation, "topics",
                   bundle.lda->InferTopicMixture(tokens),
-                  [](double p) { return FormatDouble(p, 9); });
+                  [](obs::JsonWriter& json, double p) { json.Fixed(p, 9); });
 }
 
 Result<std::string> HandleRecommend(const ServingSnapshot& bundle,
@@ -359,9 +358,9 @@ Result<std::string> HandleRecommend(const ServingSnapshot& bundle,
                     });
   candidates.resize(keep);
   return Envelope(bundle.generation, "items", candidates,
-                  [&scores](int p) {
-                    return "{\"product\":" + std::to_string(p) +
-                           ",\"score\":" + FormatDouble(scores[p], 9) + "}";
+                  [&scores](obs::JsonWriter& json, int p) {
+                    json.BeginObject().Key("product").Int(p);
+                    json.Key("score").Fixed(scores[p], 9).EndObject();
                   });
 }
 
@@ -378,12 +377,21 @@ Result<std::string> HandleSimilar(const ServingSnapshot& bundle,
   HLM_ASSIGN_OR_RETURN(std::vector<recsys::Neighbor> neighbors,
                        bundle.similarity->TopK(company, k));
   return Envelope(bundle.generation, "neighbors", neighbors,
-                  [](const recsys::Neighbor& neighbor) {
-                    return "{\"company\":" +
-                           std::to_string(neighbor.company_id) +
-                           ",\"distance\":" +
-                           FormatDouble(neighbor.distance, 9) + "}";
+                  [](obs::JsonWriter& json, const recsys::Neighbor& neighbor) {
+                    json.BeginObject().Key("company").Int(neighbor.company_id);
+                    json.Key("distance").Fixed(neighbor.distance, 9);
+                    json.EndObject();
                   });
+}
+
+std::string HealthzBody(const ServingSnapshot& bundle) {
+  obs::JsonWriter json;
+  json.BeginObject().Key("status").String("ok");
+  json.Key("generation").Int(bundle.generation);
+  json.Key("uptime_seconds").Fixed(obs::NowMicros() / 1e6, 3);
+  json.Key("models_loaded")
+      .Int(static_cast<long long>(bundle.registry.loaded_count()));
+  return json.EndObject().Take();
 }
 
 Response V1Response(Result<std::string> body) {
@@ -402,13 +410,7 @@ Response Dispatch(const HttpRequest& request, Route route,
       if (ParamIs(request.params, "format", "text")) {
         return {200, "text/plain", "ok"};
       }
-      return {200, kJson,
-              "{\"status\":\"ok\",\"generation\":" +
-                  std::to_string(bundle.generation) +
-                  ",\"uptime_seconds\":" +
-                  FormatDouble(obs::NowMicros() / 1e6, 3) +
-                  ",\"models_loaded\":" +
-                  std::to_string(bundle.registry.loaded_count()) + "}"};
+      return {200, kJson, HealthzBody(bundle)};
     case Route::kStatusz:
       TickStats();
       if (ParamIs(request.params, "format", "json")) {

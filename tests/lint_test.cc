@@ -301,9 +301,9 @@ TEST(LintPersistWriteTest, AnnotationSuppresses) {
   EXPECT_TRUE(diags.empty());
 }
 
-TEST(LintRuleListTest, AllSixteenRulesAdvertised) {
+TEST(LintRuleListTest, AllSeventeenRulesAdvertised) {
   std::vector<std::string> rules = RuleNames();
-  EXPECT_EQ(rules.size(), 16u);
+  EXPECT_EQ(rules.size(), 17u);
   for (const char* semantic :
        {"layering", "unchecked-status", "hot-path-alloc", "lock-discipline",
         "stale-suppression"}) {
@@ -325,6 +325,40 @@ TEST(LintRuleListTest, AllSixteenRulesAdvertised) {
   EXPECT_NE(std::find(rules.begin(), rules.end(),
                       "simd-intrinsic-isolation"),
             rules.end());
+  EXPECT_NE(std::find(rules.begin(), rules.end(), "no-hand-json"),
+            rules.end());
+}
+
+TEST(LintHandJsonTest, FlagsJsonShapedLiteralsInSrc) {
+  auto diags = LintContent("src/serve/foo.cc", R"cpp(
+std::string Body(int n) {
+  return "{\"generation\":" + std::to_string(n) + "}";
+}
+std::string Pair(const std::string& key) { return "\"" + key + "\": 1"; }
+)cpp");
+  EXPECT_EQ(CountRule(diags, "no-hand-json"), 2);
+  EXPECT_EQ(diags[0].line, 3);
+  EXPECT_EQ(diags[1].line, 5);
+}
+
+TEST(LintHandJsonTest, WriterCallsCommentsAndOwnerAreFine) {
+  // Keys passed to the writer carry no JSON punctuation, a comment may
+  // show a document, and obs/json.cc owns the format.
+  const std::string writer = R"cpp(
+// Emits {"error":"..."}.
+void Render(obs::JsonWriter& json) { json.Key("error").String("x"); }
+)cpp";
+  EXPECT_EQ(CountRule(LintContent("src/serve/foo.cc", writer),
+                      "no-hand-json"),
+            0);
+  const std::string owner = "const char* kOpen = \"{\\\"\";\n";
+  EXPECT_EQ(CountRule(LintContent("src/obs/json.cc", owner), "no-hand-json"),
+            0);
+  EXPECT_EQ(CountRule(LintContent("src/obs/metrics.cc", owner),
+                      "no-hand-json"),
+            1);
+  EXPECT_EQ(CountRule(LintContent("tools/report.cc", owner), "no-hand-json"),
+            0);
 }
 
 TEST(LintSimdIsolationTest, FlagsIntrinsicHeadersOutsideKernelLayer) {

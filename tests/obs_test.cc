@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -24,6 +25,26 @@
 
 namespace hlm::obs {
 namespace {
+
+/// Parses an emitted document, failing the test (with the text) when it
+/// is not valid JSON.
+JsonValue MustParse(const std::string& json) {
+  Result<JsonValue> parsed = JsonValue::Parse(json);
+  EXPECT_TRUE(parsed.ok()) << parsed.status() << "\n" << json;
+  return parsed.ok() ? std::move(parsed).value() : JsonValue();
+}
+
+/// The trace event named `name` in a ToChromeJson document, or nullptr.
+const JsonValue* FindTraceEvent(const JsonValue& trace,
+                                const std::string& name) {
+  const JsonValue* events = trace.Find("traceEvents");
+  if (events == nullptr) return nullptr;
+  for (const JsonValue& event : events->array()) {
+    const JsonValue* event_name = event.Find("name");
+    if (event_name != nullptr && event_name->AsString() == name) return &event;
+  }
+  return nullptr;
+}
 
 // ---------------------------------------------------------------- Counter
 
@@ -147,14 +168,6 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreLossless) {
   EXPECT_DOUBLE_EQ(snapshot.max, 0.75);
 }
 
-TEST(MetricsRegistryTest, ResetDropsEverything) {
-  MetricsRegistry registry;
-  registry.GetCounter("hlm.test.x_total")->Increment();
-  registry.Reset();
-  EXPECT_TRUE(registry.Snapshot().counters.empty());
-  EXPECT_EQ(registry.GetCounter("hlm.test.x_total")->value(), 0);
-}
-
 // --------------------------------------------------------------- Snapshot
 
 TEST(MetricsSnapshotTest, JsonRoundTrip) {
@@ -201,6 +214,51 @@ TEST(MetricsSnapshotTest, EmptySnapshotRoundTrips) {
 TEST(MetricsSnapshotTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(MetricsSnapshot::FromJson("not json").ok());
   EXPECT_FALSE(MetricsSnapshot::FromJson("{\"bogus\": {}}").ok());
+  // Hostile numbers, wrong types and truncation come back as errors,
+  // never as an exception out of the parser.
+  MetricsRegistry registry;
+  registry.GetGauge("hlm.test.g")->Set(1.5);
+  const std::string json = registry.Snapshot().ToJson();
+  for (const std::string& bad :
+       {std::string("{\"gauges\": {\"x\": 1e999}}"),
+        std::string("{\"gauges\": {\"x\": -}}"),
+        std::string("{\"gauges\": {\"x\": \"1\"}}"),
+        json.substr(0, json.size() / 2)}) {
+    EXPECT_FALSE(MetricsSnapshot::FromJson(bad).ok()) << bad;
+  }
+}
+
+// Gauges are training statistics that can diverge (an LSTM perplexity,
+// the LDA log-likelihood): every export must stay parsable, and a
+// diverged gauge must read back as NaN rather than as a number.
+TEST(MetricsSnapshotTest, NonFiniteValuesExportAsNullAndReadBackAsNaN) {
+  const double inf = std::numeric_limits<double>::infinity();
+  MetricsRegistry registry;
+  registry.GetGauge("hlm.lstm.valid_perplexity")
+      ->Set(std::numeric_limits<double>::quiet_NaN());
+  registry.GetGauge("hlm.lda.log_likelihood")->Set(-inf);
+  registry.GetHistogram("hlm.test.diverged_seconds")->Observe(inf);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  FlightRecorder recorder;
+  TraceEvent span;
+  span.name = "test.diverged";
+  span.duration_us = inf;
+  recorder.RecordSpanClose(span);
+  for (const std::string& json :
+       {snapshot.ToJson(), RenderStatuszJson(snapshot, {}, recorder.Tail(8)),
+        recorder.ToJson()}) {
+    EXPECT_TRUE(JsonValue::Parse(json).ok()) << json;
+  }
+
+  Result<MetricsSnapshot> parsed =
+      MetricsSnapshot::FromJson(snapshot.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_TRUE(std::isnan(parsed->gauges.at("hlm.lstm.valid_perplexity")));
+  EXPECT_TRUE(std::isnan(parsed->gauges.at("hlm.lda.log_likelihood")));
+  const HistogramSnapshot& h =
+      parsed->histograms.at("hlm.test.diverged_seconds");
+  EXPECT_EQ(h.count, 1);
+  EXPECT_TRUE(std::isnan(h.sum));
 }
 
 TEST(MetricsSnapshotTest, TextExportNamesEveryMetric) {
@@ -271,9 +329,10 @@ TEST_F(TraceTest, SpanFeedsHistogramAndChromeJson) {
   Histogram histogram({1e-9, 10.0});
   { TraceSpan span("timed", &histogram); }
   EXPECT_EQ(histogram.count(), 1);
-  std::string json = TraceRecorder::Global().ToChromeJson();
-  EXPECT_NE(json.find("\"name\": \"timed\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  JsonValue trace = MustParse(TraceRecorder::Global().ToChromeJson());
+  const JsonValue* timed = FindTraceEvent(trace, "timed");
+  ASSERT_NE(timed, nullptr);
+  EXPECT_EQ(timed->Find("ph")->AsString(), "X");
 }
 
 TEST_F(TraceTest, DisabledSpansRecordNothingButStillTime) {
@@ -314,6 +373,28 @@ TEST(JsonQuoteTest, UnescapeInvertsQuoteForHostileNames) {
   // Strip the surrounding quotes, then the payload must decode back.
   ASSERT_GE(quoted.size(), 2u);
   EXPECT_EQ(JsonUnescape(quoted.substr(1, quoted.size() - 2)), hostile);
+}
+
+TEST(JsonWriterTest, CompactWithCommasByConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  JsonWriter json;
+  json.BeginObject().Key("a").Int(-3).Key("b").BeginArray();
+  json.Number(0.1).Number(nan).Bool(true).Null().BeginObject().EndObject();
+  json.EndArray().Key("q\"k").String("v\n").Key("f").Fixed(2.0 / 3.0, 9);
+  json.Key("raw").Raw("{\"x\": [1]}").Key("e").BeginArray().EndArray();
+  EXPECT_EQ(json.EndObject().Take(),
+            "{\"a\":-3,\"b\":[0.10000000000000001,null,true,null,{}],"
+            "\"q\\\"k\":\"v\\n\",\"f\":0.666666667,\"raw\":{\"x\": [1]},"
+            "\"e\":[]}");
+}
+
+TEST(JsonWriterTest, ValueReemitsAParsedDocument) {
+  Result<JsonValue> parsed =
+      JsonValue::Parse("{ \"z\" : [1, 2.5, \"s\"], \"a\" : {\"n\": null} }");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(JsonWriter().Value(*parsed).Take(),
+            "{\"a\":{\"n\":null},\"z\":[1,2.5,\"s\"]}")
+      << "compact, object members in key order";
 }
 
 TEST(MetricsSnapshotTest, HostileMetricNamesSurviveJsonRoundTrip) {
@@ -498,24 +579,22 @@ TEST(RunIdTest, DeterministicAndComponentSensitive) {
   EXPECT_NE(ComputeRunId({}), ComputeRunId({""}));
 }
 
-TEST_F(TraceTest, RunIdSwitchesExportToObjectFormat) {
+TEST_F(TraceTest, RunIdTravelsInOtherData) {
   TraceRecorder& recorder = TraceRecorder::Global();
   { TraceSpan span("tagged"); }
-  std::string bare = recorder.ToChromeJson();
-  EXPECT_EQ(bare.front(), '[') << "no run id -> historical bare array";
+  // One shape with or without a run id: the object form.
+  JsonValue untagged = MustParse(recorder.ToChromeJson());
+  EXPECT_EQ(untagged.Find("otherData")->Find("run_id")->AsString("x"), "");
+  EXPECT_NE(FindTraceEvent(untagged, "tagged"), nullptr);
   recorder.SetRunId("deadbeefdeadbeef");
-  std::string tagged = recorder.ToChromeJson();
-  EXPECT_EQ(tagged.front(), '{');
-  EXPECT_NE(tagged.find("\"otherData\""), std::string::npos);
-  EXPECT_NE(tagged.find("\"run_id\": \"deadbeefdeadbeef\""),
-            std::string::npos);
-  EXPECT_NE(tagged.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(tagged.find("\"name\": \"tagged\""), std::string::npos);
+  JsonValue tagged = MustParse(recorder.ToChromeJson());
+  EXPECT_EQ(tagged.Find("otherData")->Find("run_id")->AsString(),
+            "deadbeefdeadbeef");
+  EXPECT_NE(FindTraceEvent(tagged, "tagged"), nullptr);
   // Survives Clear: the run identity outlives one batch of spans.
   recorder.Clear();
   EXPECT_EQ(recorder.run_id(), "deadbeefdeadbeef");
   recorder.SetRunId("");
-  EXPECT_EQ(recorder.ToChromeJson().front(), '[');
 }
 
 TEST_F(TraceTest, HostileSpanNamesAreEscapedInChromeJson) {
@@ -541,11 +620,12 @@ TEST(EventLogTest, EmitStampsContextAndBuffersInOrder) {
   EXPECT_LE(events[0].ts_us, events[1].ts_us);
 
   std::string line = events[1].ToJsonLine();
-  EXPECT_EQ(line.find("{\"ts_us\": "), 0u);
-  EXPECT_NE(line.find("\"level\": \"error\""), std::string::npos);
-  EXPECT_NE(line.find("\"name\": \"test.second\""), std::string::npos);
-  EXPECT_NE(line.find("\"loglik\": -1.5"), std::string::npos);
-  EXPECT_NE(line.find("\"model\": \"lda\""), std::string::npos);
+  JsonValue event = MustParse(line);
+  EXPECT_DOUBLE_EQ(event.Find("ts_us")->AsNumber(), events[1].ts_us);
+  EXPECT_EQ(event.Find("level")->AsString(), "error");
+  EXPECT_EQ(event.Find("name")->AsString(), "test.second");
+  EXPECT_DOUBLE_EQ(event.Find("attrs")->Find("loglik")->AsNumber(), -1.5);
+  EXPECT_EQ(event.Find("attrs")->Find("model")->AsString(), "lda");
   EXPECT_EQ(line.find('\n'), std::string::npos) << "one line per event";
 }
 
@@ -692,12 +772,15 @@ TEST(FlightRecorderTest, ToJsonCarriesRunIdEntriesAndDetail) {
   entry.detail = "{\"sweep\": 3}";
   recorder.Record(entry);
   recorder.Record(MakeEntry(2, "test.plain"));  // empty detail
-  std::string json = recorder.ToJson();
-  EXPECT_NE(json.find("\"run_id\""), std::string::npos);
-  EXPECT_NE(json.find("\"entries\""), std::string::npos);
-  EXPECT_NE(json.find("\"detail\": {\"sweep\": 3}"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"test.plain\""), std::string::npos);
-  EXPECT_EQ(json.find("\"detail\": ,"), std::string::npos)
+  JsonValue dump = MustParse(recorder.ToJson());
+  EXPECT_NE(dump.Find("run_id"), nullptr);
+  const JsonValue* entries = dump.Find("entries");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_EQ(entries->size(), 2u);
+  EXPECT_DOUBLE_EQ(entries->At(0)->Find("detail")->Find("sweep")->AsNumber(),
+                   3.0);
+  EXPECT_EQ(entries->At(1)->Find("name")->AsString(), "test.plain");
+  EXPECT_TRUE(entries->At(1)->Find("detail")->is_object())
       << "empty detail must render as an object, not vanish";
 }
 
@@ -745,9 +828,9 @@ TEST(FlightRecorderDeathTest, CheckFailureDumpsFlightRecorder) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string json = buffer.str();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"run_id\": \"obsdeath\""), std::string::npos);
-  EXPECT_NE(json.find("\"entries\""), std::string::npos);
+  JsonValue parsed = MustParse(json);
+  EXPECT_EQ(parsed.Find("run_id")->AsString(), "obsdeath");
+  EXPECT_TRUE(parsed.Find("entries")->is_array());
   EXPECT_NE(json.find("test.death.before"), std::string::npos);
   std::remove(dump.c_str());
   TraceRecorder::Global().SetRunId("");
@@ -804,9 +887,15 @@ TEST(StatuszTest, RenderersWorkFromDetachedParts) {
   EXPECT_NE(text.find("hlm.render.x_total"), std::string::npos);
   EXPECT_NE(text.find("test.render.span"), std::string::npos);
   EXPECT_NE(text.find("test.render.event"), std::string::npos);
-  std::string json =
-      RenderStatuszJson(registry.Snapshot(), {open}, {entry});
-  EXPECT_NE(json.find("\"hlm.render.x_total\": 9"), std::string::npos);
+  JsonValue json =
+      MustParse(RenderStatuszJson(registry.Snapshot(), {open}, {entry}));
+  EXPECT_DOUBLE_EQ(json.Find("metrics")
+                       ->Find("counters")
+                       ->Find("hlm.render.x_total")
+                       ->AsNumber(),
+                   9.0);
+  EXPECT_EQ(json.Find("open_spans")->At(0)->Find("name")->AsString(),
+            "test.render.span");
 }
 
 // ------------------------------------------- thread names in trace export
@@ -814,15 +903,23 @@ TEST(StatuszTest, RenderersWorkFromDetachedParts) {
 TEST_F(TraceTest, ChromeJsonEmitsThreadNameMetadataFirst) {
   SetCurrentThreadName("hlm-test-main");
   { TraceSpan span("test.named"); }
-  std::string json = TraceRecorder::Global().ToChromeJson();
-  size_t meta = json.find("\"ph\": \"M\"");
-  size_t complete = json.find("\"ph\": \"X\"");
-  ASSERT_NE(meta, std::string::npos);
-  ASSERT_NE(complete, std::string::npos);
-  EXPECT_LT(meta, complete) << "metadata must precede duration events";
-  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"hlm-test-main\""),
-            std::string::npos);
+  JsonValue trace = MustParse(TraceRecorder::Global().ToChromeJson());
+  const JsonValue* events = trace.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  bool seen_complete = false;
+  bool named = false;
+  for (const JsonValue& event : events->array()) {
+    const std::string ph = event.Find("ph")->AsString();
+    if (ph == "X") seen_complete = true;
+    if (ph != "M") continue;
+    EXPECT_FALSE(seen_complete) << "metadata must precede duration events";
+    EXPECT_EQ(event.Find("name")->AsString(), "thread_name");
+    if (event.Find("args")->Find("name")->AsString() == "hlm-test-main") {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(seen_complete);
+  EXPECT_TRUE(named);
 }
 
 // ------------------------------------------------- deterministic span ids

@@ -35,6 +35,18 @@ void WriteAll(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// How much global counter `name` grew since the `before` snapshot. The
+/// global registry is shared by every test in the binary, so tests
+/// assert deltas rather than absolute counts.
+long long CounterDelta(const obs::MetricsSnapshot& before,
+                       const std::string& name) {
+  auto count = [&name](const obs::MetricsSnapshot& snapshot) {
+    auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0LL : it->second;
+  };
+  return count(obs::MetricsRegistry::Global().Snapshot()) - count(before);
+}
+
 // ---------------------------------------------------------------------
 // AtomicFileWriter
 
@@ -210,7 +222,7 @@ TEST(ModelRegistryTest, FromManifestRejectsCorruptManifests) {
 }
 
 TEST(ModelRegistryTest, LazyLoadVerifyAndKindMismatch) {
-  obs::MetricsRegistry::Global().Reset();
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   // Real snapshots: a trained n-gram and a representation matrix.
   auto world = corpus::GenerateDefaultCorpus(80, 11);
   std::string ngram_path = TempPath("registry_ngram.snap");
@@ -251,9 +263,10 @@ TEST(ModelRegistryTest, LazyLoadVerifyAndKindMismatch) {
   EXPECT_EQ(**loaded_rows, rows);
 
   // hlm.serve.* metrics recorded the two loads.
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snapshot.counters.at("hlm.serve.loads_total"), 2);
-  EXPECT_EQ(snapshot.gauges.at("hlm.serve.models_loaded"), 2.0);
+  EXPECT_EQ(CounterDelta(before, "hlm.serve.loads_total"), 2);
+  EXPECT_EQ(obs::MetricsRegistry::Global().Snapshot().gauges.at(
+                "hlm.serve.models_loaded"),
+            2.0);
 
   // A registered-as-wrong-kind snapshot fails Verify with a kind error.
   ModelRegistry mislabeled;
@@ -267,20 +280,18 @@ TEST(ModelRegistryTest, LazyLoadVerifyAndKindMismatch) {
 }
 
 TEST(ModelRegistryTest, LoadErrorsAreCountedAndReported) {
-  obs::MetricsRegistry::Global().Reset();
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   std::string path = TempPath("registry_broken.snap");
   WriteAll(path, "broken");
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("bad", ModelKind::kNgram, path).ok());
   EXPECT_FALSE(registry.Verify("bad").ok());
   EXPECT_FALSE(registry.Ngram("bad").ok());
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snapshot.counters.at("hlm.serve.load_errors_total"), 1);
+  EXPECT_EQ(CounterDelta(before, "hlm.serve.load_errors_total"), 1);
   std::remove(path.c_str());
 }
 
 TEST(ModelRegistryTest, GruRoundTripsThroughRegistry) {
-  obs::MetricsRegistry::Global().Reset();
   auto world = corpus::GenerateDefaultCorpus(60, 13);
   models::GruConfig config;
   config.hidden_size = 8;
@@ -315,7 +326,6 @@ TEST(ModelRegistryTest, GruRoundTripsThroughRegistry) {
 }
 
 TEST(ModelRegistryTest, FromManifestStampsGenerationAndMeta) {
-  obs::MetricsRegistry::Global().Reset();
   std::string path = TempPath("gen_ngram.snap");
   auto world = corpus::GenerateDefaultCorpus(60, 17);
   models::NGramModel ngram(world.corpus.num_categories(),
@@ -349,7 +359,7 @@ TEST(ModelRegistryTest, FromManifestStampsGenerationAndMeta) {
 }
 
 TEST(ModelRegistryTest, ErrorsIncrementPerCodeCountersAndEmitEvents) {
-  obs::MetricsRegistry::Global().Reset();
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   obs::EventLog::Global().Clear();
   ModelRegistry registry;
   // Duplicate registration -> already_exists; missing name -> not_found.
@@ -357,11 +367,9 @@ TEST(ModelRegistryTest, ErrorsIncrementPerCodeCountersAndEmitEvents) {
   EXPECT_FALSE(registry.Register("m", ModelKind::kNgram, "/tmp/y.snap").ok());
   EXPECT_FALSE(registry.Ngram("missing").ok());
 
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  EXPECT_GE(snapshot.counters.at("hlm.serve.errors_total"), 2);
-  EXPECT_EQ(snapshot.counters.at("hlm.serve.errors.already_exists_total"),
-            1);
-  EXPECT_EQ(snapshot.counters.at("hlm.serve.errors.not_found_total"), 1);
+  EXPECT_GE(CounterDelta(before, "hlm.serve.errors_total"), 2);
+  EXPECT_EQ(CounterDelta(before, "hlm.serve.errors.already_exists_total"), 1);
+  EXPECT_EQ(CounterDelta(before, "hlm.serve.errors.not_found_total"), 1);
 
   // Each tracked error also emitted a serve.error wide event.
   int serve_errors = 0;

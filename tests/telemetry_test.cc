@@ -333,6 +333,10 @@ TEST(JsonValueTest, RejectsMalformedAndHostileInput) {
   EXPECT_FALSE(JsonValue::Parse("{\"a\": }").ok());
   EXPECT_FALSE(JsonValue::Parse("{} trailing").ok());
   EXPECT_FALSE(JsonValue::Parse("{\"a\": 1").ok());
+  // A literal that overflows a double is an error, not an infinity.
+  EXPECT_FALSE(JsonValue::Parse("1e999").ok());
+  EXPECT_FALSE(JsonValue::Parse("[-1e999]").ok());
+  EXPECT_TRUE(JsonValue::Parse("1e-999").ok()) << "underflow is zero";
   // Depth bomb: 200 nested arrays exceeds the 128-level cap.
   std::string bomb(200, '[');
   bomb += std::string(200, ']');

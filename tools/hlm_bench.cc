@@ -889,7 +889,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", out.c_str());
       return 2;
     }
-    out_stream << snapshot.ToJson();
+    out_stream << snapshot.ToJson() << "\n";
     std::printf("bench snapshot written to %s\n", out.c_str());
   }
   if (update_baseline) {
@@ -900,7 +900,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", baseline_path.c_str());
       return 2;
     }
-    baseline_stream << snapshot.ToJson();
+    baseline_stream << snapshot.ToJson() << "\n";
     std::printf("baseline updated: %s\n", baseline_path.c_str());
   }
   if (!speedup_ok) {

@@ -46,6 +46,7 @@
 #include "common/flags.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/percentiles.h"
 #include "serve/http_client.h"
@@ -200,38 +201,27 @@ hlm::Status WriteJsonReport(const std::string& path,
   if (!writer.ok()) {
     return hlm::Status::Internal("cannot open for write: " + path);
   }
-  std::ostream& out = writer.stream();
-  out << "{\n";
-  out << "  \"schema_version\": 1,\n";
-  out << "  \"tool\": \"hlm_loadgen\",\n";
-  out << "  \"mode\": \"" << report.mode << "\",\n";
-  out << "  \"connections\": " << report.connections << ",\n";
-  out << "  \"elapsed_s\": " << hlm::FormatDouble(report.elapsed_s, 6)
-      << ",\n";
-  out << "  \"offered_qps\": " << hlm::FormatDouble(report.offered_qps, 6)
-      << ",\n";
-  out << "  \"achieved_qps\": "
-      << hlm::FormatDouble(report.achieved_qps, 6) << ",\n";
-  out << "  \"requests\": " << report.requests << ",\n";
-  out << "  \"failures\": " << report.failures << ",\n";
-  out << "  \"generation_regressions\": " << report.generation_regressions
-      << ",\n";
-  out << "  \"generations_seen\": [";
-  bool first = true;
-  for (long long generation : report.generations_seen) {
-    out << (first ? "" : ", ") << generation;
-    first = false;
-  }
-  out << "],\n";
-  out << "  \"latency_seconds\": {\"count\": " << report.latency.count
-      << ", \"mean\": " << hlm::FormatDouble(report.latency.Mean(), 9)
-      << ", \"p50\": " << hlm::FormatDouble(report.summary.p50, 9)
-      << ", \"p90\": " << hlm::FormatDouble(report.summary.p90, 9)
-      << ", \"p99\": " << hlm::FormatDouble(report.summary.p99, 9)
-      << ", \"max\": " << hlm::FormatDouble(report.summary.max, 9)
-      << "},\n";
-  out << "  \"exit_code\": " << report.exit_code << "\n";
-  out << "}\n";
+  hlm::obs::JsonWriter json;
+  json.BeginObject().Key("schema_version").Int(1);
+  json.Key("tool").String("hlm_loadgen").Key("mode").String(report.mode);
+  json.Key("connections").Int(report.connections);
+  json.Key("elapsed_s").Fixed(report.elapsed_s, 6);
+  json.Key("offered_qps").Fixed(report.offered_qps, 6);
+  json.Key("achieved_qps").Fixed(report.achieved_qps, 6);
+  json.Key("requests").Int(report.requests);
+  json.Key("failures").Int(report.failures);
+  json.Key("generation_regressions").Int(report.generation_regressions);
+  json.Key("generations_seen").BeginArray();
+  for (long long generation : report.generations_seen) json.Int(generation);
+  json.EndArray().Key("latency_seconds").BeginObject();
+  json.Key("count").Int(report.latency.count);
+  json.Key("mean").Fixed(report.latency.Mean(), 9);
+  json.Key("p50").Fixed(report.summary.p50, 9);
+  json.Key("p90").Fixed(report.summary.p90, 9);
+  json.Key("p99").Fixed(report.summary.p99, 9);
+  json.Key("max").Fixed(report.summary.max, 9);
+  json.EndObject().Key("exit_code").Int(report.exit_code);
+  writer.stream() << json.EndObject().Take() << "\n";
   return writer.Commit();
 }
 

@@ -23,6 +23,7 @@
 //     offending line on any syntax or histogram-invariant violation.
 //     scripts/tier1.sh runs this against the live daemon's scrape.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -36,6 +37,7 @@
 #include "obs/events.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/statusz.h"
 #include "obs/trace.h"
@@ -53,35 +55,10 @@ hlm::Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-/// Minimal field scrapers for one events-JSONL line (schema produced by
-/// Event::ToJsonLine — flat keys, attrs last). Not a general JSON
-/// parser; unknown shapes degrade to defaults rather than erroring, so
-/// a mixed or hand-edited file still renders.
-bool ScrapeNumber(const std::string& line, const std::string& key,
-                  double* value) {
-  size_t pos = line.find("\"" + key + "\": ");
-  if (pos == std::string::npos) return false;
-  pos += key.size() + 4;
-  char* end = nullptr;
-  *value = std::strtod(line.c_str() + pos, &end);
-  return end != line.c_str() + pos;
-}
-
-bool ScrapeString(const std::string& line, const std::string& key,
-                  std::string* value) {
-  size_t pos = line.find("\"" + key + "\": \"");
-  if (pos == std::string::npos) return false;
-  pos += key.size() + 5;
-  value->clear();
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-    value->push_back(line[pos]);
-    ++pos;
-  }
-  return pos < line.size();
-}
-
-/// Parses events JSONL into flight-tail entries (newest `tail` kept).
+/// Parses events JSONL (Event::ToJsonLine) into flight-tail entries,
+/// keeping the newest `tail`. Lines that do not parse as a JSON object
+/// are skipped and missing fields take defaults, so a mixed or
+/// hand-edited file still renders.
 std::vector<hlm::obs::FlightEntry> EventsToTail(const std::string& jsonl,
                                                 size_t tail) {
   std::vector<hlm::obs::FlightEntry> entries;
@@ -89,30 +66,31 @@ std::vector<hlm::obs::FlightEntry> EventsToTail(const std::string& jsonl,
   std::string line;
   uint64_t seq = 0;
   while (std::getline(lines, line)) {
-    if (line.empty()) continue;
+    hlm::Result<hlm::obs::JsonValue> event = hlm::obs::JsonValue::Parse(line);
+    if (!event.ok() || !event->is_object()) continue;
+    // Ids outside the int64 range (or NaN) read as 0 rather than
+    // overflowing the conversion.
+    auto integer = [&event](const char* key) -> long long {
+      const hlm::obs::JsonValue* value = event->Find(key);
+      const double number = value == nullptr ? 0.0 : value->AsNumber();
+      return std::fabs(number) < 9.2e18 ? static_cast<long long>(number) : 0;
+    };
     hlm::obs::FlightEntry entry;
     entry.kind = hlm::obs::FlightEntry::Kind::kEvent;
     entry.seq = ++seq;
-    double number = 0.0;
-    if (ScrapeNumber(line, "ts_us", &number)) entry.ts_us = number;
-    if (ScrapeNumber(line, "tid", &number)) {
-      entry.thread_id = static_cast<uint64_t>(number);
+    if (const hlm::obs::JsonValue* ts_us = event->Find("ts_us")) {
+      entry.ts_us = ts_us->AsNumber();
     }
-    if (ScrapeNumber(line, "span_id", &number)) {
-      entry.span_id = static_cast<int64_t>(number);
+    entry.thread_id = static_cast<uint64_t>(integer("tid"));
+    entry.span_id = integer("span_id");
+    if (const hlm::obs::JsonValue* name = event->Find("name")) {
+      entry.name = name->AsString();
     }
-    ScrapeString(line, "name", &entry.name);
-    if (!ScrapeString(line, "level", &entry.level)) entry.level = "info";
-    size_t attrs = line.find("\"attrs\": ");
-    if (attrs != std::string::npos) {
-      size_t open = line.find('{', attrs);
-      size_t close = line.rfind('}');
-      // attrs is the last key, so everything up to the final '}' (which
-      // closes the line object) minus one is the attrs object.
-      if (open != std::string::npos && close != std::string::npos &&
-          close > open) {
-        entry.detail = line.substr(open, close - open);
-      }
+    const hlm::obs::JsonValue* level = event->Find("level");
+    entry.level = level == nullptr ? "info" : level->AsString("info");
+    const hlm::obs::JsonValue* attrs = event->Find("attrs");
+    if (attrs != nullptr && attrs->is_object()) {
+      entry.detail = hlm::obs::JsonWriter().Value(*attrs).Take();
     }
     entries.push_back(std::move(entry));
   }
@@ -137,7 +115,7 @@ Status RunRender(const std::string& metrics_path,
   }
   const std::string rendered =
       format == "json"
-          ? hlm::obs::RenderStatuszJson(metrics, {}, flight_tail)
+          ? hlm::obs::RenderStatuszJson(metrics, {}, flight_tail) + "\n"
           : hlm::obs::RenderStatuszText(metrics, {}, flight_tail);
   std::cout << rendered;
   return Status::OK();

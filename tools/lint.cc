@@ -10,7 +10,7 @@ namespace hlm::lint {
 namespace {
 
 /// Bumping this invalidates every cached result (build/lint-cache).
-constexpr const char kAnalyzerVersion[] = "hlm-lint 2.0.0";
+constexpr const char kAnalyzerVersion[] = "hlm-lint 2.1.0";
 
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
@@ -69,6 +69,9 @@ struct StrippedSource {
   /// This is the only place annotations and hot-path markers are
   /// recognized, so an annotation inside a string literal is data.
   std::vector<std::string> comment_lines;
+  /// The ordinary string literals on each line, as written (escapes
+  /// kept), each followed by '\n'. Raw strings are not included.
+  std::vector<std::string> literal_lines;
 };
 
 /// Splits `content` into code and comment streams, preserving line
@@ -78,6 +81,7 @@ StrippedSource StripSource(const std::string& content) {
   StrippedSource out;
   std::string code;
   std::string comment;
+  std::string literal;
   enum class State { kCode, kBlockComment, kString, kRawString, kChar };
   State state = State::kCode;
   // Closing sequence of the raw string being skipped: )delim"
@@ -93,8 +97,10 @@ StrippedSource StripSource(const std::string& content) {
       }
       out.code_lines.push_back(code);
       out.comment_lines.push_back(comment);
+      out.literal_lines.push_back(literal);
       code.clear();
       comment.clear();
+      literal.clear();
       continue;
     }
     switch (state) {
@@ -144,9 +150,14 @@ StrippedSource StripSource(const std::string& content) {
         break;
       case State::kString:
         if (c == '\\') {
+          literal.push_back(c);
+          literal.push_back(next);
           ++i;
         } else if (c == '"') {
+          literal.push_back('\n');
           state = State::kCode;
+        } else {
+          literal.push_back(c);
         }
         break;
       case State::kRawString:
@@ -167,6 +178,7 @@ StrippedSource StripSource(const std::string& content) {
   }
   out.code_lines.push_back(code);
   out.comment_lines.push_back(comment);
+  out.literal_lines.push_back(literal);
   return out;
 }
 
@@ -578,6 +590,25 @@ void CheckSimdIntrinsicIsolation(const RuleContext& ctx) {
                    " outside src/math/simd/; call the dispatched kernels "
                    "in math/simd/kernels.h instead");
       }
+    }
+  }
+}
+
+void CheckHandJson(const RuleContext& ctx) {
+  // obs/json owns the JSON format: everywhere else in src/ emits JSON
+  // through obs::JsonWriter, so quoting, commas and non-finite numbers
+  // are handled in one place.
+  if (!StartsWith(ctx.file->relpath, "src/") ||
+      ctx.file->relpath == "src/obs/json.cc") {
+    return;
+  }
+  const std::vector<std::string>& literals = ctx.file->literal_lines;
+  for (size_t i = 0; i < literals.size(); ++i) {
+    if (literals[i].find("{\\\"") != std::string::npos ||
+        literals[i].find("\\\":") != std::string::npos) {
+      Report(ctx, static_cast<int>(i) + 1, "no-hand-json",
+             "JSON built by hand in a string literal; emit it with "
+             "obs::JsonWriter (obs/json.h owns the format)");
     }
   }
 }
@@ -1068,6 +1099,7 @@ FileAnalysis AnalyzeFile(const ProjectModel& model, const FileModel& file) {
   CheckMetricNaming(ctx);
   CheckSpanEventNaming(ctx);
   CheckSimdIntrinsicIsolation(ctx);
+  CheckHandJson(ctx);
   CheckHeaderGuard(ctx);
   CheckIncludeOrder(ctx);
   CheckLayering(ctx);
@@ -1403,6 +1435,7 @@ std::vector<std::string> RuleNames() {
           "metric-naming",
           "span-event-naming",
           "simd-intrinsic-isolation",
+          "no-hand-json",
           "layering",
           "unchecked-status",
           "hot-path-alloc",
@@ -1502,6 +1535,7 @@ ProjectModel BuildProjectModel(std::vector<SourceFile> files) {
     StrippedSource stripped = StripSource(fm.content);
     fm.code_lines = std::move(stripped.code_lines);
     fm.comment_lines = std::move(stripped.comment_lines);
+    fm.literal_lines = std::move(stripped.literal_lines);
     fm.allows = CollectAllows(fm.comment_lines);
 
     // Quoted includes: directive detected on the stripped line (so a
@@ -1655,7 +1689,7 @@ std::string RenderSarif(const AnalysisResult& result) {
       << "  \"version\": \"2.1.0\",\n"
       << "  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n"
       << "          \"name\": \"hlm_lint\",\n"
-      << "          \"version\": \"2.0.0\",\n"
+      << "          \"version\": \"2.1.0\",\n"
       << "          \"informationUri\": "
          "\"https://example.invalid/hlm/tools/lint\",\n"
       << "          \"rules\": [";

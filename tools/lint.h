@@ -75,6 +75,12 @@ struct Diagnostic {
 ///                    #include <immintrin.h> (or other x86 intrinsic
 ///                    headers) outside src/math/simd/. ISA-specific code
 ///                    lives in the kernel layer only.
+///   no-hand-json     A string literal in src/ containing {\" or \":
+///                    outside src/obs/json.cc. obs/json.h owns the JSON
+///                    format: documents are built with obs::JsonWriter
+///                    (commas by construction, JsonQuote'd keys,
+///                    non-finite numbers as null) and read back with
+///                    obs::JsonValue.
 ///
 /// Whole-program semantic passes (need the project model):
 ///
@@ -159,6 +165,9 @@ struct FileModel {
   /// an annotation-shaped string literal is data, never a suppression.
   std::vector<std::string> code_lines;
   std::vector<std::string> comment_lines;
+  /// The ordinary string literals on each line, as written (escapes
+  /// kept), each followed by '\n'; what the no-hand-json rule reads.
+  std::vector<std::string> literal_lines;
   /// (line, rule) for each `// hlm-lint: allow(<rule>)` annotation.
   std::vector<std::pair<int, std::string>> allows;
 };
