@@ -27,32 +27,12 @@ std::string g_metrics_out_path;  // NOLINT(runtime/string)
 std::string g_trace_out_path;    // NOLINT(runtime/string)
 std::string g_events_out_path;   // NOLINT(runtime/string)
 std::string g_run_id;            // NOLINT(runtime/string)
+double g_phase_slowdown = 1.0;
 
 void WriteObservabilityOutputs() {
   if (!g_metrics_out_path.empty()) {
-    // Fold the per-phase resource profile into the meta section so the
-    // snapshot carries CPU/RSS cost next to the walltime breakdown.
-    obs::ResourceProfiler::Global().AttachTo(&obs::MetricsRegistry::Global());
-    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-    // Surface each bench phase's total wall time in the meta header so
-    // JSON consumers get the per-phase breakdown without digging through
-    // histogram buckets.
-    for (const auto& [name, histogram] : snapshot.histograms) {
-      const std::string prefix = "hlm.bench.";
-      const std::string suffix = "_seconds";
-      if (name.size() > prefix.size() + suffix.size() &&
-          name.compare(0, prefix.size(), prefix) == 0 &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        std::string phase = name.substr(
-            prefix.size(), name.size() - prefix.size() - suffix.size());
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer), "%.6f", histogram.sum);
-        snapshot.meta["walltime." + phase + "_seconds"] = buffer;
-      }
-    }
     std::ofstream out(g_metrics_out_path);
-    if (out) out << snapshot.ToJson() << "\n";
+    if (out) out << Snapshot().ToJson() << "\n";
     if (!out) {
       std::fprintf(stderr, "WARNING: failed to write metrics to %s\n",
                    g_metrics_out_path.c_str());
@@ -91,27 +71,144 @@ ScopedPhase::ScopedPhase(const std::string& name)
       span_(name,
             obs::MetricsRegistry::Global().GetHistogram(
                 "hlm.bench." + name + "_seconds"),
-            "bench") {}
+            "bench"),
+      start_(std::chrono::steady_clock::now()) {}
+
+ScopedPhase::~ScopedPhase() {
+  // Runs before span_ and resources_ close, so they observe the stretch.
+  if (g_phase_slowdown > 1.0) {
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start_;
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        (g_phase_slowdown - 1.0) * elapsed.count()));
+  }
+}
+
+void SetPhaseSlowdown(double factor) { g_phase_slowdown = factor; }
 
 const std::string& RunId() { return g_run_id; }
 
+obs::MetricsSnapshot Snapshot() {
+  obs::ResourceProfiler::Global().AttachTo(&obs::MetricsRegistry::Global());
+  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
+  const std::string prefix = "hlm.bench.";
+  const std::string suffix = "_seconds";
+  for (const auto& [name, histogram] : snapshot.histograms) {
+    if (name.size() > prefix.size() + suffix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0 &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      std::string phase = name.substr(
+          prefix.size(), name.size() - prefix.size() - suffix.size());
+      char buffer[64];
+      std::snprintf(buffer, sizeof(buffer), "%.6f", histogram.sum);
+      snapshot.meta["walltime." + phase + "_seconds"] = buffer;
+    }
+  }
+  return snapshot;
+}
+
+void AddRunFlags(FlagSet* flags, RunFlags* run) {
+  flags->AddInt64("companies", &run->companies, "corpus size");
+  flags->AddInt64("seed", &run->seed, "generator seed");
+  flags->AddInt64("threads", &run->threads,
+                  "worker threads for parallel regions (0 = HLM_THREADS env "
+                  "or all hardware cores); results are identical at any "
+                  "value");
+  flags->AddString("simd", &run->simd,
+                   "kernel dispatch path: auto, off, or avx2 (empty = "
+                   "HLM_SIMD env, then auto); metric values are identical "
+                   "on every path");
+}
+
+void StartRun(const RunFlags& run, const std::string& harness,
+              const std::string& variant) {
+  // Pin the kernel dispatch path before any kernel runs: an explicit
+  // --simd wins over the HLM_SIMD env var; with neither, the first
+  // kernel call resolves the path from the environment anyway.
+  if (!run.simd.empty()) {
+    Result<simd::SimdMode> mode = simd::ParseSimdMode(run.simd);
+    if (!mode.ok()) {
+      std::fprintf(stderr, "bad --simd: %s\n",
+                   mode.status().ToString().c_str());
+      std::exit(2);
+    }
+    Status simd_status = simd::SetSimdMode(*mode);
+    if (!simd_status.ok()) {
+      std::fprintf(stderr, "--simd=%s rejected: %s\n", run.simd.c_str(),
+                   simd_status.ToString().c_str());
+      std::exit(2);
+    }
+  } else {
+    simd::InitFromEnv();
+  }
+  // Arm the always-on pieces: the main thread's trace lane name and the
+  // flight-recorder crash dump.
+  obs::SetCurrentThreadName("hlm-main");
+  obs::InstallCrashHandler();
+  if (run.threads > 0) SetNumThreads(static_cast<int>(run.threads));
+  // One deterministic id per configuration: reruns of the same config
+  // share it, so metrics, trace, and bench JSON from one run are
+  // joinable offline.
+  std::vector<std::string> id_parts = {harness};
+  if (!variant.empty()) id_parts.push_back(variant);
+  for (long long part : {run.seed, run.companies,
+                         static_cast<long long>(NumThreads())}) {
+    id_parts.push_back(std::to_string(part));
+  }
+  g_run_id = obs::ComputeRunId(id_parts);
+  obs::TraceRecorder::Global().SetRunId(g_run_id);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.SetMeta("run_id", g_run_id);
+  metrics.SetMeta("harness", harness);
+  metrics.GetGauge("hlm.bench.companies")
+      ->Set(static_cast<double>(run.companies));
+  metrics.GetGauge("hlm.bench.seed")->Set(static_cast<double>(run.seed));
+  metrics.GetGauge("hlm.bench.threads")
+      ->Set(static_cast<double>(NumThreads()));
+  metrics.SetMeta("threads", std::to_string(NumThreads()));
+  metrics.SetMeta("host_cores",  // hlm-lint: allow(no-raw-thread)
+                  std::to_string(std::thread::hardware_concurrency()));
+  metrics.SetMeta("seed", std::to_string(run.seed));
+  metrics.SetMeta("companies", std::to_string(run.companies));
+  metrics.SetMeta("simd.requested", run.simd.empty() ? "env" : run.simd);
+  metrics.SetMeta("simd.active_path", simd::ActivePathName());
+  metrics.SetMeta("simd.avx2_available",
+                  simd::Avx2Available() ? "1" : "0");
+}
+
+BenchEnv BuildEnv(long long companies, long long seed) {
+  ScopedPhase make_env_phase("make_env");
+  corpus::GeneratorConfig config;
+  config.num_companies = static_cast<int>(companies);
+  config.seed = static_cast<uint64_t>(seed);
+  BenchEnv env{corpus::SyntheticHgGenerator(config).Generate(),
+               {}, corpus::Corpus(corpus::ProductTaxonomy::Default()),
+               corpus::Corpus(corpus::ProductTaxonomy::Default()),
+               corpus::Corpus(corpus::ProductTaxonomy::Default()),
+               {}, {}, {}, {}};
+  Rng split_rng(7);
+  env.split = env.world.corpus.Split(0.7, 0.1, &split_rng);
+  env.train = env.world.corpus.Subset(env.split.train);
+  env.valid = env.world.corpus.Subset(env.split.valid);
+  env.test = env.world.corpus.Subset(env.split.test);
+  env.train_seqs = env.train.Sequences();
+  env.valid_seqs = env.valid.Sequences();
+  env.test_seqs = env.test.Sequences();
+  env.train_seqs_pre2013 =
+      TruncatedSequences(env.train, corpus::MakeMonth(2013, 1));
+  return env;
+}
+
 BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
                  long long default_companies) {
-  long long companies = default_companies;
-  long long seed = 42;
-  long long threads = 0;
+  RunFlags run;
+  run.companies = default_companies;
+  AddRunFlags(flags, &run);
   std::string metrics_out;
   std::string trace_out;
   std::string events_out;
   std::string log_level;
-  std::string simd_mode;
-  long long event_sample_every = 1;
-  flags->AddInt64("companies", &companies, "corpus size");
-  flags->AddInt64("seed", &seed, "generator seed");
-  flags->AddInt64("threads", &threads,
-                  "worker threads for parallel regions (0 = HLM_THREADS env "
-                  "or all hardware cores); results are identical at any "
-                  "value");
   flags->AddString("metrics_out", &metrics_out,
                    "write a metrics-snapshot JSON here at exit");
   flags->AddString("trace_out", &trace_out,
@@ -119,14 +216,8 @@ BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
   flags->AddString("events_out", &events_out,
                    "write the structured wide-event log (JSONL) here at "
                    "exit");
-  flags->AddInt64("event_sample_every", &event_sample_every,
-                  "keep one event in N per event name (1 = keep all)");
   flags->AddString("log_level", &log_level,
                    "minimum log level: debug, info, warning, error");
-  flags->AddString("simd", &simd_mode,
-                   "kernel dispatch path: auto, off, or avx2 (empty = "
-                   "HLM_SIMD env, then auto); metric values are identical "
-                   "on every path");
   Status status = flags->Parse(argc, argv);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
@@ -149,29 +240,6 @@ BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
       std::exit(2);
     }
   }
-  if (event_sample_every > 1) {
-    obs::EventLog::Global().SetSampleEvery(
-        static_cast<uint32_t>(event_sample_every));
-  }
-  // Pin the kernel dispatch path before any kernel runs: an explicit
-  // --simd wins over the HLM_SIMD env var; with neither, the first
-  // kernel call resolves the path from the environment anyway.
-  if (!simd_mode.empty()) {
-    Result<simd::SimdMode> mode = simd::ParseSimdMode(simd_mode);
-    if (!mode.ok()) {
-      std::fprintf(stderr, "bad --simd: %s\n%s",
-                   mode.status().ToString().c_str(), flags->Usage().c_str());
-      std::exit(2);
-    }
-    Status simd_status = simd::SetSimdMode(*mode);
-    if (!simd_status.ok()) {
-      std::fprintf(stderr, "--simd=%s rejected: %s\n", simd_mode.c_str(),
-                   simd_status.ToString().c_str());
-      std::exit(2);
-    }
-  } else {
-    simd::InitFromEnv();
-  }
   if (!metrics_out.empty() || !trace_out.empty() || !events_out.empty()) {
     g_metrics_out_path = metrics_out;
     g_trace_out_path = trace_out;
@@ -179,60 +247,11 @@ BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
     if (!trace_out.empty()) obs::TraceRecorder::Global().Enable();
     std::atexit(WriteObservabilityOutputs);
   }
-  // Arm the always-on pieces: the main thread's trace lane name and the
-  // flight-recorder crash dump (an HLM_CHECK failure in any harness now
-  // leaves hlm-crash-<run_id>.json next to the process).
-  obs::SetCurrentThreadName("hlm-main");
-  obs::InstallCrashHandler();
-  if (threads > 0) SetNumThreads(static_cast<int>(threads));
-  // One deterministic id per (harness, seed, companies, threads)
-  // configuration: reruns of the same config share it, so metrics,
-  // trace, and bench JSON from one run are joinable offline.
   std::string harness = argc > 0 && argv[0] != nullptr ? argv[0] : "bench";
   size_t slash = harness.find_last_of('/');
   if (slash != std::string::npos) harness = harness.substr(slash + 1);
-  g_run_id = obs::ComputeRunId({harness, std::to_string(seed),
-                                std::to_string(companies),
-                                std::to_string(NumThreads())});
-  obs::TraceRecorder::Global().SetRunId(g_run_id);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.SetMeta("run_id", g_run_id);
-  metrics.SetMeta("harness", harness);
-  metrics.GetGauge("hlm.bench.companies")
-      ->Set(static_cast<double>(companies));
-  metrics.GetGauge("hlm.bench.seed")->Set(static_cast<double>(seed));
-  metrics.GetGauge("hlm.bench.threads")
-      ->Set(static_cast<double>(NumThreads()));
-  metrics.SetMeta("threads", std::to_string(NumThreads()));
-  metrics.SetMeta("host_cores",  // hlm-lint: allow(no-raw-thread)
-                  std::to_string(std::thread::hardware_concurrency()));
-  metrics.SetMeta("seed", std::to_string(seed));
-  metrics.SetMeta("companies", std::to_string(companies));
-  metrics.SetMeta("simd.requested", simd_mode.empty() ? "env" : simd_mode);
-  metrics.SetMeta("simd.active_path", simd::ActivePathName());
-  metrics.SetMeta("simd.avx2_available",
-                  simd::Avx2Available() ? "1" : "0");
-
-  ScopedPhase make_env_phase("make_env");
-  corpus::GeneratorConfig config;
-  config.num_companies = static_cast<int>(companies);
-  config.seed = static_cast<uint64_t>(seed);
-  BenchEnv env{corpus::SyntheticHgGenerator(config).Generate(),
-               {}, corpus::Corpus(corpus::ProductTaxonomy::Default()),
-               corpus::Corpus(corpus::ProductTaxonomy::Default()),
-               corpus::Corpus(corpus::ProductTaxonomy::Default()),
-               {}, {}, {}, {}};
-  Rng split_rng(7);
-  env.split = env.world.corpus.Split(0.7, 0.1, &split_rng);
-  env.train = env.world.corpus.Subset(env.split.train);
-  env.valid = env.world.corpus.Subset(env.split.valid);
-  env.test = env.world.corpus.Subset(env.split.test);
-  env.train_seqs = env.train.Sequences();
-  env.valid_seqs = env.valid.Sequences();
-  env.test_seqs = env.test.Sequences();
-  env.train_seqs_pre2013 =
-      TruncatedSequences(env.train, corpus::MakeMonth(2013, 1));
-  return env;
+  StartRun(run, harness);
+  return BuildEnv(run.companies, run.seed);
 }
 
 std::vector<models::TokenSequence> TruncatedSequences(

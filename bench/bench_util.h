@@ -1,6 +1,7 @@
 #ifndef HLM_BENCH_BENCH_UTIL_H_
 #define HLM_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +15,7 @@
 
 namespace hlm::bench {
 
-/// Standard experiment environment shared by every figure/table harness:
+/// Standard experiment environment shared by every harness and hlm_bench:
 /// a synthetic HG-style corpus with the paper's 70/10/20 split, both in
 /// full form and truncated to pre-protocol history (before 2013-01) for
 /// the recommendation benches.
@@ -32,23 +33,47 @@ struct BenchEnv {
   std::vector<models::TokenSequence> train_seqs_pre2013;
 };
 
-/// Common flags: --companies, --seed, --threads (worker threads for
-/// parallel regions; 0 = HLM_THREADS env or all hardware cores — results
-/// are bit-identical at any setting), plus the observability trio shared
-/// by every harness: --metrics_out=<path> (write a MetricsSnapshot JSON
-/// at process exit — the machine-readable data source behind
-/// BENCH_*.json), --trace_out=<path> (write a chrome://tracing JSON of
-/// every TraceSpan), --events_out=<path> (write the structured
-/// wide-event log as JSONL), --event_sample_every=<n> (keep one event
-/// in n per name), --log_level=<debug|info|warning|error>, and
+/// The run-identity flags every harness shares: --companies, --seed,
+/// --threads (worker threads for parallel regions; 0 = HLM_THREADS env
+/// or all hardware cores — results are bit-identical at any setting) and
 /// --simd=<auto|off|avx2> (kernel dispatch path; empty defers to the
-/// HLM_SIMD env var — the resolved path lands in the snapshot meta as
-/// simd.requested / simd.active_path / simd.avx2_available). MakeEnv
-/// also names the main thread's trace lane and arms the flight-recorder
-/// crash dump (hlm-crash-<run_id>.json on HLM_CHECK failure).
-/// Returns a parsed environment or aborts with usage on bad flags.
+/// HLM_SIMD env var). Set a field before AddRunFlags to change its
+/// default.
+struct RunFlags {
+  long long companies = 0;
+  long long seed = 42;
+  long long threads = 0;
+  std::string simd;
+};
+
+/// Registers the RunFlags fields on `flags`.
+void AddRunFlags(FlagSet* flags, RunFlags* run);
+
+/// Applies parsed run flags and stamps the run's identity into the
+/// global metrics registry: pins the kernel dispatch path (exits 2 on a
+/// bad --simd), sizes the worker pool, names the main thread's trace
+/// lane, arms the flight-recorder crash dump (hlm-crash-<run_id>.json
+/// on HLM_CHECK failure), derives the deterministic run id (see
+/// obs::ComputeRunId) from harness, variant (omitted when empty), seed,
+/// companies and thread count, and writes the run meta (run_id,
+/// harness, seed, companies, threads, host_cores, simd.requested /
+/// simd.active_path / simd.avx2_available) plus the
+/// hlm.bench.{companies,seed,threads} gauges.
+void StartRun(const RunFlags& run, const std::string& harness,
+              const std::string& variant = "");
+
+/// Generates the synthetic corpus and its 70/10/20 split inside the
+/// "make_env" phase.
+BenchEnv BuildEnv(long long companies, long long seed);
+
+/// The figure/table harness entry point: AddRunFlags plus the
+/// observability flags (--metrics_out=<path>: the Snapshot() JSON at
+/// process exit; --trace_out=<path>: a chrome://tracing JSON of every
+/// TraceSpan; --events_out=<path>: the wide-event log as JSONL;
+/// --log_level=<debug|info|warning|error>), then Parse, StartRun under
+/// the binary's name, and BuildEnv. Exits 2 with usage on bad flags.
 /// Additional flags may be registered on `flags` by the caller before
-/// invoking; names colliding with the shared trio fail Parse loudly.
+/// invoking; names colliding with the shared ones fail Parse loudly.
 BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
                  long long default_companies = 1200);
 
@@ -56,24 +81,40 @@ BenchEnv MakeEnv(int argc, char** argv, FlagSet* flags,
 /// wall time into the histogram "hlm.bench.<name>_seconds", and
 /// attributes the phase's resource cost (CPU seconds, RSS growth,
 /// context switches) to the global ResourceProfiler — so each
-/// harness's per-phase breakdown lands in the --metrics_out JSON as
-/// both a latency distribution and a "profile.<name>.*" meta block.
+/// harness's per-phase breakdown lands in the snapshot as both a
+/// latency distribution and a "profile.<name>.*" meta block. Under
+/// SetPhaseSlowdown(F > 1) the destructor first sleeps (F-1)x the
+/// phase's measured time, so the stretch lands in every instrument
+/// exactly like a real regression would.
 class ScopedPhase {
  public:
   explicit ScopedPhase(const std::string& name);
+  ~ScopedPhase();
+
+  ScopedPhase(const ScopedPhase&) = delete;
+  ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
   // Declaration order matters: resources_ destructs after span_, so the
   // resource delta covers at least the traced interval.
   obs::ScopedResourcePhase resources_;
   obs::TraceSpan span_;
+  std::chrono::steady_clock::time_point start_;
 };
 
-/// The deterministic run id MakeEnv derived for this process (see
-/// obs::ComputeRunId): a digest of harness name, seed, companies, and
-/// thread count. Threaded into the metrics meta section, the trace
-/// export, and any harness-specific BENCH_*.json, so the three outputs
-/// of one run can be joined offline. Empty before MakeEnv runs.
+/// Stretch factor for every later ScopedPhase (1 = off); the
+/// regression checker's self-test hook.
+void SetPhaseSlowdown(double factor);
+
+/// The global registry's snapshot with the resource profile attached
+/// and each phase's total wall time surfaced as the meta entry
+/// "walltime.<phase>_seconds" (from the hlm.bench.<phase>_seconds
+/// histograms). --metrics_out writes it; hlm_bench writes and gates it.
+obs::MetricsSnapshot Snapshot();
+
+/// The deterministic run id StartRun derived for this process. Threaded
+/// into the metrics meta section and the trace export, so the outputs
+/// of one run can be joined offline. Empty before StartRun runs.
 const std::string& RunId();
 
 /// Sequences of a corpus truncated to history before `cutoff`.

@@ -227,6 +227,21 @@ if "$BUILD_DIR/tools/hlm_bench" --suite smoke --out none --check \
 fi
 echo "ok: clean check passes, injected slowdown flagged"
 
+echo "== tier1: bench regression check (ablations suite) =="
+# The design-choice ablations (DESIGN.md section 5) and their substrate
+# costs, one phase per case: every case's deterministic output (a
+# perplexity, count or checksum gauge) must match the baseline exactly.
+"$BUILD_DIR/tools/hlm_bench" --suite ablations --out none --check \
+  --baseline "$REPO_ROOT/bench/baselines/ablations.json" \
+  --walltime_tolerance 3.0 --walltime_slack 0.25
+
+echo "== tier1: bench regression check (parallel suite) =="
+# Thread-scaling points t1/t2/t4/tmax; the suite aborts when a result
+# differs across thread counts.
+"$BUILD_DIR/tools/hlm_bench" --suite parallel --out none --check \
+  --baseline "$REPO_ROOT/bench/baselines/parallel.json" \
+  --walltime_tolerance 3.0 --walltime_slack 0.25
+
 echo "== tier1: snapshot save + verify roundtrip =="
 SNAP_DIR="$(mktemp -d /tmp/hlm_tier1_snap.XXXXXX)"
 CLEANUP_PATHS+=("$SNAP_DIR")

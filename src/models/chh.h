@@ -95,7 +95,8 @@ class ConditionalHeavyHitters final : public ConditionalScorer {
 /// distributions live in bounded SpaceSaving sketches and the context
 /// dictionary itself is capped, following the streaming "sparse" CHH
 /// algorithms of [17]/[20]. Trades exactness for O(contexts x sketch)
-/// memory; the micro-bench compares it against the exact variant.
+/// memory; hlm_bench's ablations suite compares it against the exact
+/// variant (chh_approx_* vs chh_depth2).
 class ApproximateChh final : public ConditionalScorer {
  public:
   ApproximateChh(int vocab_size, ChhConfig config, size_t max_contexts,

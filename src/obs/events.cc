@@ -82,8 +82,6 @@ void EventLog::Emit(
     event.attrs.emplace_back(key, value);
   }
 
-  const uint32_t sample_every =
-      sample_every_.load(std::memory_order_relaxed);
   bool keep = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -99,15 +97,12 @@ void EventLog::Emit(
         it = name_counts_.emplace(event.name, 0).first;
       }
     }
-    const uint64_t seen = it->second++;
-    keep = sample_every <= 1 || (seen % sample_every) == 0;
-    if (keep) {
-      if (buffer_.size() >= kMaxBuffered) {
-        ++dropped_;
-        keep = false;
-      } else {
-        buffer_.push_back(event);
-      }
+    ++it->second;
+    if (buffer_.size() >= kMaxBuffered) {
+      ++dropped_;
+      keep = false;
+    } else {
+      buffer_.push_back(event);
     }
   }
 
@@ -121,7 +116,7 @@ void EventLog::Emit(
   }
 
   // The flight recorder sees every gate-passing event, including ones
-  // the bounded buffer or sampler discarded — its ring overwrites
+  // the bounded buffer discarded — its ring overwrites
   // oldest-first anyway, and crash dumps want the freshest context.
   FlightRecorder::Global().RecordEvent(event);
 }

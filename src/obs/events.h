@@ -103,12 +103,6 @@ class EventLog {
         min_level_.load(std::memory_order_relaxed));
   }
 
-  /// Keep one event in `n` per event name (1 or 0 keeps all). Applies
-  /// per name so a chatty event cannot starve rare ones.
-  void SetSampleEvery(uint32_t n) {
-    sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
-
   /// The cheap gate HLM_EVENT checks before building any attribute.
   bool ShouldEmit(EventLevel level) const {
     return enabled() &&
@@ -131,14 +125,13 @@ class EventLog {
   /// Writes every buffered event as one JSONL line per event.
   Status WriteJsonl(const std::string& path) const;
 
-  /// Drops buffered events, per-name sampling state, and the dropped
+  /// Drops buffered events, per-name counts, and the dropped
   /// counter (test isolation).
   void Clear();
 
  private:
   std::atomic<bool> enabled_{true};
   std::atomic<int> min_level_{static_cast<int>(EventLevel::kInfo)};
-  std::atomic<uint32_t> sample_every_{1};
 
   mutable std::mutex mu_;
   std::deque<Event> buffer_;

@@ -1,6 +1,5 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -51,70 +50,32 @@ void AppendQuoted(std::string& out, std::string_view raw) {
   out.push_back('"');
 }
 
+void AppendUtf8(unsigned code_point, std::string* out) {
+  if (code_point < 0x80) {
+    out->push_back(static_cast<char>(code_point));
+  } else if (code_point < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (code_point >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  } else if (code_point < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (code_point >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (code_point >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  }
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
 }  // namespace
 
 std::string JsonQuote(std::string_view raw) {
   std::string out;
   out.reserve(raw.size() + 2);
   AppendQuoted(out, raw);
-  return out;
-}
-
-std::string JsonUnescape(const std::string& escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    char c = escaped[i];
-    if (c != '\\' || i + 1 >= escaped.size()) {
-      out.push_back(c);
-      continue;
-    }
-    char next = escaped[++i];
-    switch (next) {
-      case 'b':
-        out.push_back('\b');
-        break;
-      case 'f':
-        out.push_back('\f');
-        break;
-      case 'n':
-        out.push_back('\n');
-        break;
-      case 'r':
-        out.push_back('\r');
-        break;
-      case 't':
-        out.push_back('\t');
-        break;
-      case 'u': {
-        unsigned value = 0;
-        bool valid = i + 4 < escaped.size();
-        for (size_t d = 1; valid && d <= 4; ++d) {
-          char h = escaped[i + d];
-          value <<= 4;
-          if (h >= '0' && h <= '9') {
-            value |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            value |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            value |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            valid = false;
-          }
-        }
-        if (valid) {
-          i += 4;
-          out.push_back(value <= 0xFF ? static_cast<char>(value) : '?');
-        } else {
-          out.push_back('u');
-        }
-        break;
-      }
-      default:
-        // Covers \" \\ \/ and keeps unknown escapes readable.
-        out.push_back(next);
-    }
-  }
   return out;
 }
 
@@ -169,16 +130,119 @@ class JsonValueParser {
     return Status::OK();
   }
 
+  /// A string literal, escapes decoded (\uXXXX to UTF-8, a surrogate
+  /// pair to one code point). Unknown escapes, lone surrogates and raw
+  /// control characters (U+0000..U+001F) are errors.
   Status ParseString(std::string* out) {
     if (!Consume('"')) return Error("expected '\"'");
-    size_t start = at_;
-    while (at_ < text_.size() && text_[at_] != '"') {
-      if (text_[at_] == '\\') ++at_;  // skip the escaped character
-      ++at_;
+    while (true) {
+      if (at_ >= text_.size()) return Error("unterminated string");
+      const char c = text_[at_++];
+      if (c == '"') return Status::OK();
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Error("raw control character in string");
+      }
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (at_ >= text_.size()) return Error("unterminated string");
+      const char escape = text_[at_++];
+      switch (escape) {
+        case '"':
+        case '\\':
+        case '/':
+          out->push_back(escape);
+          break;
+        case 'b':
+          out->push_back('\b');
+          break;
+        case 'f':
+          out->push_back('\f');
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'u': {
+          unsigned code_point = 0;
+          HLM_RETURN_IF_ERROR(ParseHex4(&code_point));
+          if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
+            return Error("lone low surrogate in \\u escape");
+          }
+          if (code_point >= 0xD800 && code_point <= 0xDBFF) {
+            unsigned low = 0;
+            if (!Consume('\\') || !Consume('u')) {
+              return Error("lone high surrogate in \\u escape");
+            }
+            HLM_RETURN_IF_ERROR(ParseHex4(&low));
+            if (low < 0xDC00 || low > 0xDFFF) {
+              return Error("lone high surrogate in \\u escape");
+            }
+            code_point = 0x10000 + ((code_point - 0xD800) << 10) +
+                         (low - 0xDC00);
+          }
+          AppendUtf8(code_point, out);
+          break;
+        }
+        default:
+          return Error(std::string("unknown escape '\\") + escape + "'");
+      }
     }
-    if (at_ >= text_.size()) return Error("unterminated string");
-    *out = JsonUnescape(text_.substr(start, at_ - start));
-    ++at_;  // closing quote
+  }
+
+  /// The four hex digits of a \u escape.
+  Status ParseHex4(unsigned* out) {
+    if (at_ + 4 > text_.size()) return Error("truncated \\u escape");
+    unsigned value = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[at_++];
+      value <<= 4;
+      if (IsDigit(h)) {
+        value |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        value |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        value |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return Error("bad hex digit in \\u escape");
+      }
+    }
+    *out = value;
+    return Status::OK();
+  }
+
+  /// Consumes a run of digits; returns how many.
+  size_t SkipDigits() {
+    const size_t start = at_;
+    while (at_ < text_.size() && IsDigit(text_[at_])) ++at_;
+    return at_ - start;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  Status ParseNumber(double* out) {
+    const size_t start = at_;
+    Consume('-');
+    if (!Consume('0') && SkipDigits() == 0) {
+      return Error("number needs an integer part");
+    }
+    if (Consume('.') && SkipDigits() == 0) {
+      return Error("number needs digits after '.'");
+    }
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (SkipDigits() == 0) return Error("number needs exponent digits");
+    }
+    const std::string span = text_.substr(start, at_ - start);
+    *out = std::strtod(span.c_str(), nullptr);
+    if (std::isinf(*out)) {
+      return Error("number overflows a double '" + span + "'");
+    }
     return Status::OK();
   }
 
@@ -243,27 +307,9 @@ class JsonValueParser {
       out->kind_ = JsonValue::Kind::kNull;
       return Status::OK();
     }
-    // Number: delegate to strtod over the longest plausible span.
-    size_t start = at_;
-    while (at_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[at_])) ||
-            text_[at_] == '-' || text_[at_] == '+' || text_[at_] == '.' ||
-            text_[at_] == 'e' || text_[at_] == 'E')) {
-      ++at_;
-    }
-    if (at_ == start) return Error("unexpected character");
-    std::string span = text_.substr(start, at_ - start);
-    char* parse_end = nullptr;
-    double value = std::strtod(span.c_str(), &parse_end);
-    if (parse_end == nullptr || *parse_end != '\0') {
-      return Error("unparsable number '" + span + "'");
-    }
-    if (std::isinf(value)) {
-      return Error("number overflows a double '" + span + "'");
-    }
+    if (c != '-' && !IsDigit(c)) return Error("unexpected character");
     out->kind_ = JsonValue::Kind::kNumber;
-    out->number_ = value;
-    return Status::OK();
+    return ParseNumber(&out->number_);
   }
 
   const std::string& text_;

@@ -23,15 +23,12 @@ namespace hlm::obs {
 /// corrupt an exported document.
 std::string JsonQuote(std::string_view raw);
 
-/// Inverse of JsonQuote's escaping for the payload between the quotes:
-/// decodes \" \\ \/ \b \f \n \r \t and \u00XX (code points above 0xFF
-/// are replaced with '?'; this codebase emits none). Unknown escapes
-/// keep the escaped character verbatim.
-std::string JsonUnescape(const std::string& escaped);
-
 /// A parsed JSON document node; the one JSON parser in the process.
-/// Numbers are doubles (a literal that overflows one is an error);
-/// object keys keep first-wins semantics on duplicates.
+/// Enforces RFC 8259: numbers follow its grammar and are doubles (a
+/// literal that overflows one is an error); strings reject raw control
+/// characters, unknown escapes and lone surrogates, and decode \uXXXX
+/// (surrogate pairs included) to UTF-8. Object keys keep first-wins
+/// semantics on duplicates.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -337,6 +337,29 @@ TEST(JsonValueTest, RejectsMalformedAndHostileInput) {
   EXPECT_FALSE(JsonValue::Parse("1e999").ok());
   EXPECT_FALSE(JsonValue::Parse("[-1e999]").ok());
   EXPECT_TRUE(JsonValue::Parse("1e-999").ok()) << "underflow is zero";
+  // RFC 8259 number grammar: no sign but '-', no bare or trailing '.',
+  // no leading zeros, digits in every part.
+  for (const char* bad : {"+5", ".5", "01", "-01", "1.", "-", "1e", "1e+",
+                          "[+5]", "[.5]", "[01]", "[1.]", "[-]", "0x10",
+                          "1.e5", "--1"}) {
+    EXPECT_FALSE(JsonValue::Parse(bad).ok()) << bad;
+  }
+  for (const char* good : {"0", "-0", "10", "-1.5", "0.25e-3", "1E+2"}) {
+    EXPECT_TRUE(JsonValue::Parse(good).ok()) << good;
+  }
+  EXPECT_DOUBLE_EQ(JsonValue::Parse("-1.5e2")->AsNumber(), -150.0);
+  // Strings: raw control characters, unknown escapes and lone
+  // surrogates are errors.
+  EXPECT_FALSE(JsonValue::Parse("\"a\tb\"").ok()) << "literal tab";
+  EXPECT_FALSE(JsonValue::Parse(std::string("\"a\0b\"", 5)).ok());
+  EXPECT_FALSE(JsonValue::Parse("\"\x1f\"").ok());
+  EXPECT_FALSE(JsonValue::Parse("{\"k\n\":1}").ok()) << "raw newline key";
+  for (const char* bad : {"\"\\x41\"", "\"\\u12\"", "\"\\u12G4\"",
+                          "\"\\ud83d\"", "\"\\ud83dx\"",
+                          "\"\\ud83d\\u0041\"", "\"\\ude00\"",
+                          "\"\\"}) {
+    EXPECT_FALSE(JsonValue::Parse(bad).ok()) << bad;
+  }
   // Depth bomb: 200 nested arrays exceeds the 128-level cap.
   std::string bomb(200, '[');
   bomb += std::string(200, ']');

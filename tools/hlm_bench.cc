@@ -1,11 +1,12 @@
-// hlm_bench: unified perf-observability bench runner and regression
-// checker. Runs a fixed suite of bench phases (corpus generation, model
-// training, recommendation threshold sweep, similarity search, registry
-// round-trip) under the standard observability stack — ScopedPhase wall
-// times, percentile exports, and the resource profiler — and writes one
-// schema-versioned BENCH_<suite>.json per run (a MetricsSnapshot with a
+// hlm_bench: the repository's measurement runner (besides the paper's
+// figure and table harnesses) and its regression checker. Each suite in
+// the Suites() table runs a fixed set of bench phases under the standard
+// observability stack — bench::ScopedPhase wall times, percentile
+// exports, and the resource profiler — and writes one schema-versioned
+// BENCH_<suite>.json per run (bench::Snapshot() with a
 // `schema`/`suite`/`run_id` meta header).
 //
+//   hlm_bench --list                                     # suites + phases
 //   hlm_bench --suite smoke --out BENCH_smoke.json       # measure
 //   hlm_bench --suite smoke --check                      # vs baseline
 //   hlm_bench --suite smoke --update_baseline            # refresh it
@@ -18,8 +19,8 @@
 // pass when `current <= baseline * tolerance + slack`, absorbing
 // machine noise without letting real slowdowns through.
 // `--inject_slowdown F` stretches every phase by sleeping (F-1)x its
-// measured time, which is how scripts/tier1.sh self-tests that the
-// checker actually fails on a 2x regression.
+// measured time (bench::SetPhaseSlowdown), which is how scripts/tier1.sh
+// self-tests that the checker actually fails on a 2x regression.
 
 #include <algorithm>
 #include <chrono>
@@ -27,6 +28,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -35,12 +38,18 @@
 
 #include "bench/bench_util.h"
 #include "cluster/distance.h"
+#include "cluster/kmeans.h"
+#include "cluster/silhouette.h"
+#include "cluster/tsne.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "common/status.h"
+#include "corpus/company.h"
 #include "corpus/generator.h"
+#include "corpus/integration.h"
 #include "corpus/month.h"
+#include "corpus/tfidf.h"
 #include "math/rng.h"
 #include "math/simd/kernels.h"
 #include "models/bpmf.h"
@@ -48,7 +57,6 @@
 #include "models/lda.h"
 #include "models/lstm_lm.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "recsys/evaluation.h"
 #include "recsys/similarity_search.h"
 #include "repr/representation.h"
@@ -63,69 +71,14 @@ namespace fs = std::filesystem;
 
 constexpr char kSchema[] = "hlm-bench/1";
 
-double g_slowdown = 1.0;  // --inject_slowdown factor (1 = off)
-
-/// Bench phase marker with slowdown injection: wraps bench::ScopedPhase
-/// and, when --inject_slowdown F > 1 is set, sleeps (F-1) x the phase's
-/// measured wall time before the inner marker closes — so the injected
-/// latency lands inside the phase's histogram, walltime meta, and
-/// resource profile exactly like a real regression would.
-class Phase {
- public:
-  explicit Phase(const std::string& name)
-      : inner_(name), start_(std::chrono::steady_clock::now()) {}
-
-  ~Phase() {
-    if (g_slowdown > 1.0) {
-      std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start_;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          (g_slowdown - 1.0) * elapsed.count()));
-    }
-  }
-
-  Phase(const Phase&) = delete;
-  Phase& operator=(const Phase&) = delete;
-
- private:
-  // Destruction order: the injected sleep in ~Phase runs before inner_
-  // closes, so the stretch is observed by the phase instruments.
-  bench::ScopedPhase inner_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-struct SuiteEnv {
-  corpus::GeneratedCorpus world;
-  std::vector<models::TokenSequence> train_seqs_pre2013;
-  std::vector<models::TokenSequence> valid_seqs;
-  std::vector<models::TokenSequence> test_seqs;
-};
-
-SuiteEnv BuildEnv(long long companies, long long seed) {
-  Phase phase("make_env");
-  corpus::GeneratorConfig config;
-  config.num_companies = static_cast<int>(companies);
-  config.seed = static_cast<uint64_t>(seed);
-  SuiteEnv env{corpus::SyntheticHgGenerator(config).Generate(), {}, {}, {}};
-  Rng split_rng(7);
-  corpus::SplitIndices split = env.world.corpus.Split(0.7, 0.1, &split_rng);
-  corpus::Corpus train = env.world.corpus.Subset(split.train);
-  env.train_seqs_pre2013 =
-      bench::TruncatedSequences(train, corpus::MakeMonth(2013, 1));
-  env.valid_seqs = env.world.corpus.Subset(split.valid).Sequences();
-  env.test_seqs = env.world.corpus.Subset(split.test).Sequences();
-  return env;
-}
-
 /// The serve-path phase: persist the trained LDA model and its company
 /// representation, round-trip them through a registry manifest, Verify
 /// (checksum walk) and lazily load both — the startup path a serving
 /// process takes, instrumented by hlm.serve.* metrics.
 void RunServeRegistry(const models::LdaModel& lda,
-                      const std::vector<std::vector<double>>& rows,
-                      const std::string& run_id) {
-  Phase phase("serve_registry");
-  fs::path dir = fs::temp_directory_path() / ("hlm_bench_" + run_id);
+                      const std::vector<std::vector<double>>& rows) {
+  bench::ScopedPhase phase("serve_registry");
+  fs::path dir = fs::temp_directory_path() / ("hlm_bench_" + bench::RunId());
   fs::create_directories(dir);
   HLM_CHECK_OK(lda.SaveToFile((dir / "lda.snap").string()));
   HLM_CHECK_OK(repr::SaveRepresentation(rows, (dir / "repr.snap").string()));
@@ -159,15 +112,15 @@ void RunServeRegistry(const models::LdaModel& lda,
 /// per-route hlm.serve.http.<route>.request_seconds histograms, whose
 /// percentiles export with the standard `_seconds` summary and whose
 /// wall time is gated through the serve_requests phase walltime.
-void RunServeSuite(const SuiteEnv& env, const std::string& run_id) {
+void RunServeSuite(const bench::BenchEnv& env) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const int vocab = env.world.corpus.num_categories();
   const fs::path dir =
-      fs::temp_directory_path() / ("hlm_bench_serve_" + run_id);
+      fs::temp_directory_path() / ("hlm_bench_serve_" + bench::RunId());
   const std::string manifest = (dir / "manifest.txt").string();
 
   {
-    Phase phase("serve_snapshot");
+    bench::ScopedPhase phase("serve_snapshot");
     fs::create_directories(dir);
     models::LdaConfig config;
     config.num_topics = 4;
@@ -186,7 +139,7 @@ void RunServeSuite(const SuiteEnv& env, const std::string& run_id) {
   }
 
   std::unique_ptr<serve::Server> server = [&manifest] {
-    Phase phase("serve_start");
+    bench::ScopedPhase phase("serve_start");
     serve::ServerConfig config;
     config.manifest_path = manifest;  // watcher off: reloads are explicit
     Result<std::unique_ptr<serve::Server>> started =
@@ -212,7 +165,7 @@ void RunServeSuite(const SuiteEnv& env, const std::string& run_id) {
 
   constexpr int kRequests = 1200;
   {
-    Phase phase("serve_requests");
+    bench::ScopedPhase phase("serve_requests");
     Result<serve::HttpClient> client =
         serve::HttpClient::Connect("127.0.0.1", server->port());
     HLM_CHECK_OK(client.status());
@@ -222,7 +175,7 @@ void RunServeSuite(const SuiteEnv& env, const std::string& run_id) {
 
   constexpr int kPostReloadRequests = 300;
   {
-    Phase phase("serve_reload");
+    bench::ScopedPhase phase("serve_reload");
     // Republish the manifest byte-identically: the mtime component of
     // the stamp changes, which is exactly what a snapshot refresh into
     // the same directory looks like to the watcher.
@@ -251,13 +204,15 @@ void RunServeSuite(const SuiteEnv& env, const std::string& run_id) {
   fs::remove_all(dir);
 }
 
-void RunSuite(const std::string& suite, const SuiteEnv& env,
-              const std::string& run_id) {
+/// smoke suite (and, with `full`, the LSTM + BPMF training phases on
+/// top): corpus, LDA + CHH training, the recommendation threshold sweep,
+/// similarity search and the registry round trip.
+void RunModelSuite(const bench::BenchEnv& env, bool full) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const int vocab = env.world.corpus.num_categories();
 
   models::LdaModel lda = [&] {
-    Phase phase("train_lda");
+    bench::ScopedPhase phase("train_lda");
     models::LdaConfig config;
     config.num_topics = 4;
     models::LdaModel model(vocab, config);
@@ -266,13 +221,13 @@ void RunSuite(const std::string& suite, const SuiteEnv& env,
   }();
 
   {
-    Phase phase("lda_perplexity");
+    bench::ScopedPhase phase("lda_perplexity");
     metrics.GetGauge("hlm.bench.lda_test_perplexity")
         ->Set(lda.Perplexity(env.test_seqs));
   }
 
   models::ConditionalHeavyHitters chh = [&] {
-    Phase phase("train_chh");
+    bench::ScopedPhase phase("train_chh");
     models::ChhConfig config;
     config.context_depth = 2;
     models::ConditionalHeavyHitters model(vocab, config);
@@ -281,7 +236,7 @@ void RunSuite(const std::string& suite, const SuiteEnv& env,
   }();
 
   {
-    Phase phase("recsys_eval");
+    bench::ScopedPhase phase("recsys_eval");
     recsys::RecommendationEvalConfig eval_config;
     eval_config.thresholds = {0.05, 0.10, 0.15};
     double best_f1 = 0.0;
@@ -300,7 +255,7 @@ void RunSuite(const std::string& suite, const SuiteEnv& env,
 
   std::vector<std::vector<double>> rows;
   {
-    Phase phase("similarity_search");
+    bench::ScopedPhase phase("similarity_search");
     rows = repr::LdaRepresentation(lda, env.world.corpus);
     recsys::SimilaritySearch search(rows, cluster::DistanceKind::kCosine);
     double checksum = 0.0;
@@ -314,11 +269,11 @@ void RunSuite(const std::string& suite, const SuiteEnv& env,
     metrics.GetGauge("hlm.bench.similarity_checksum")->Set(checksum);
   }
 
-  RunServeRegistry(lda, rows, run_id);
+  RunServeRegistry(lda, rows);
 
-  if (suite == "full") {
+  if (full) {
     {
-      Phase phase("train_lstm");
+      bench::ScopedPhase phase("train_lstm");
       models::LstmConfig config;
       config.hidden_size = 16;
       config.num_layers = 1;
@@ -329,7 +284,7 @@ void RunSuite(const std::string& suite, const SuiteEnv& env,
           ->Set(lstm.Perplexity(env.test_seqs));
     }
     {
-      Phase phase("train_bpmf");
+      bench::ScopedPhase phase("train_bpmf");
       const auto cutoff = corpus::MakeMonth(2013, 1);
       std::vector<models::RatingTriplet> observed;
       int used_rows = 0;
@@ -421,11 +376,11 @@ struct KernelTiming {
   }
 };
 
-/// Runs the micro-bench suite. Returns false when --min_speedup is set,
+/// Runs the kernels suite. Returns false when --min_speedup is set,
 /// the AVX2 path is active, and any timed kernel at d >= 64 comes in
 /// under the bar.
 bool RunKernelsSuite(double min_speedup) {
-  Phase suite_phase("kernels");
+  bench::ScopedPhase suite_phase("kernels");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const std::vector<size_t> dims = {64, 256, 1024};
   constexpr size_t kMatRows = 128;
@@ -564,27 +519,506 @@ bool RunKernelsSuite(double min_speedup) {
   return gate_ok;
 }
 
-/// Snapshot of the global registry with the resource profile attached
-/// and per-phase walltime meta derived from the hlm.bench.*_seconds
-/// histograms (same derivation as bench_util's --metrics_out writer).
-obs::MetricsSnapshot BuildSnapshot() {
-  obs::ResourceProfiler::Global().AttachTo(&obs::MetricsRegistry::Global());
-  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  const std::string prefix = "hlm.bench.";
-  const std::string suffix = "_seconds";
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    if (name.size() > prefix.size() + suffix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      std::string phase = name.substr(
-          prefix.size(), name.size() - prefix.size() - suffix.size());
-      char buffer[64];
-      std::snprintf(buffer, sizeof(buffer), "%.6f", histogram.sum);
-      snapshot.meta["walltime." + phase + "_seconds"] = buffer;
-    }
+// ---------------------------------------------------------------------
+// ablations suite: the design-choice ablations (DESIGN.md §5: LDA
+// held-out estimator cost, CHH context depth, LSTM capacity across the
+// Fig. 1 grid) and the corpus and clustering substrates behind them.
+// Each case is one phase that runs its workload once over the suite
+// corpus (the corpus-size cases generate the size in their name); its
+// deterministic output — a perplexity, count or checksum — lands in the
+// gauge hlm.bench.<phase>_<output>, which --check compares exactly.
+// Setup a case does before opening its phase (training the model a
+// query case probes, generating a sized corpus) is not timed.
+
+/// Position-weighted sum: a cheap checksum that sees every entry.
+double Checksum(const std::vector<double>& values) {
+  double sum = 0.0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    sum += values[i] * static_cast<double>(i + 1);
   }
-  return snapshot;
+  return sum;
+}
+
+/// What the ablation cases share, built once before the first phase.
+struct AblationInputs {
+  const corpus::Corpus& corpus;
+  std::vector<models::TokenSequence> sequences;  ///< every company
+  std::vector<models::TokenSequence> slice;      ///< the first 100
+  models::LdaModel lda;                 ///< k = 4, default Gibbs schedule
+  models::ConditionalHeavyHitters chh;  ///< default config (depth 2)
+  std::vector<std::vector<double>> points;  ///< binary representation
+  std::vector<int> clusters;                ///< k-means (k = 8) of points
+};
+
+AblationInputs MakeAblationInputs(const corpus::Corpus& corpus) {
+  const int vocab = corpus.num_categories();
+  models::LdaConfig lda_config;
+  lda_config.num_topics = 4;
+  AblationInputs in{corpus,
+                    corpus.Sequences(),
+                    {},
+                    models::LdaModel(vocab, lda_config),
+                    models::ConditionalHeavyHitters(vocab, {}),
+                    repr::BinaryRepresentation(corpus),
+                    {}};
+  in.slice.assign(in.sequences.begin(),
+                  in.sequences.begin() +
+                      std::min<size_t>(100, in.sequences.size()));
+  HLM_CHECK_OK(in.lda.Train(in.sequences));
+  in.chh.Train(in.sequences);
+  Result<cluster::KMeansResult> clusters =
+      cluster::KMeans(in.points, cluster::KMeansConfig{});
+  HLM_CHECK_OK(clusters.status());
+  in.clusters = clusters->assignments;
+  return in;
+}
+
+double LdaGibbs(const AblationInputs& in, const std::string& phase,
+                int topics) {
+  models::LdaConfig config;
+  config.num_topics = topics;
+  config.burn_in_iterations = 20;
+  config.post_burn_in_samples = 2;
+  models::LdaModel lda(in.corpus.num_categories(), config);
+  {
+    bench::ScopedPhase timed(phase);
+    HLM_CHECK_OK(lda.Train(in.sequences));
+  }
+  return lda.Perplexity(in.slice);
+}
+
+double ChhDepth(const AblationInputs& in, const std::string& phase,
+                int depth) {
+  models::ChhConfig config;
+  config.context_depth = depth;
+  models::ConditionalHeavyHitters chh(in.corpus.num_categories(), config);
+  {
+    bench::ScopedPhase timed(phase);
+    chh.Train(in.sequences);
+  }
+  return static_cast<double>(chh.ExtractRules(0.2).size());
+}
+
+double ChhApproximate(const AblationInputs& in, const std::string& phase,
+                      size_t max_contexts) {
+  models::ApproximateChh chh(in.corpus.num_categories(), models::ChhConfig{},
+                             max_contexts, /*sketch_capacity=*/8);
+  bench::ScopedPhase timed(phase);
+  chh.Train(in.sequences);
+  return static_cast<double>(chh.num_contexts());
+}
+
+double GenerateCorpus(const std::string& phase, int companies) {
+  corpus::GeneratorConfig config;
+  config.num_companies = companies;
+  // Skew calibration would dominate; keep it fixed so the phase
+  // measures generation alone.
+  config.auto_calibrate_skew = false;
+  config.popularity_skew = 2.6;
+  corpus::SyntheticHgGenerator generator(config);
+  bench::ScopedPhase timed(phase);
+  corpus::GeneratedCorpus world = generator.Generate();
+  double installs = 0.0;
+  for (const corpus::CompanyRecord& record : world.corpus.records()) {
+    installs += static_cast<double>(record.install_base.size());
+  }
+  return installs;
+}
+
+double LinkRecords(const std::string& phase, int companies) {
+  corpus::GeneratedCorpus world =
+      corpus::GenerateDefaultCorpus(companies, 42);
+  corpus::InternalDbOptions options;
+  options.client_fraction = 0.1;
+  corpus::InternalDatabase db =
+      corpus::SimulateInternalDatabase(world.corpus, options);
+  bench::ScopedPhase timed(phase);
+  return corpus::LinkInternalDatabase(world.corpus, &db, 0.88);
+}
+
+double KMeansCase(const AblationInputs& in, const std::string& phase,
+                  int clusters) {
+  cluster::KMeansConfig config;
+  config.num_clusters = clusters;
+  config.max_iterations = 20;
+  bench::ScopedPhase timed(phase);
+  Result<cluster::KMeansResult> result = cluster::KMeans(in.points, config);
+  HLM_CHECK_OK(result.status());
+  return result->inertia;
+}
+
+/// sample = 0 scores every point.
+double Silhouette(const AblationInputs& in, const std::string& phase,
+                  int sample) {
+  bench::ScopedPhase timed(phase);
+  Result<double> score = cluster::SilhouetteScore(
+      in.points, in.clusters, cluster::DistanceKind::kEuclidean, sample);
+  HLM_CHECK_OK(score.status());
+  return *score;
+}
+
+double Distances(const AblationInputs& in, const std::string& phase,
+                 cluster::DistanceKind kind) {
+  std::vector<std::vector<double>> points(
+      in.points.begin(),
+      in.points.begin() + std::min<size_t>(300, in.points.size()));
+  bench::ScopedPhase timed(phase);
+  double sum = 0.0;
+  for (double d : cluster::PairwiseDistances(kind, points)) sum += d;
+  return sum;
+}
+
+/// t-SNE of 38 random 4-d points: the Fig. 8/9 product-embedding size.
+double TsneCase(const std::string& phase, int iterations) {
+  std::vector<std::vector<double>> points(38, std::vector<double>(4));
+  Rng rng(3);
+  for (std::vector<double>& point : points) {
+    for (double& v : point) v = rng.NextDouble();
+  }
+  cluster::TsneConfig config;
+  config.iterations = iterations;
+  bench::ScopedPhase timed(phase);
+  Result<std::vector<std::vector<double>>> embedding =
+      cluster::Tsne(points, config);
+  HLM_CHECK_OK(embedding.status());
+  double spread = 0.0;  // the embedding is centred, so sum its squares
+  for (const std::vector<double>& row : *embedding) {
+    for (double v : row) spread += v * v;
+  }
+  return spread;
+}
+
+double LstmEpoch(const AblationInputs& in, const std::string& phase,
+                 int layers, int hidden) {
+  models::LstmConfig config;
+  config.num_layers = layers;
+  config.hidden_size = hidden;
+  config.epochs = 1;
+  models::LstmLanguageModel lstm(in.corpus.num_categories(), config);
+  bench::ScopedPhase timed(phase);
+  return lstm.Train(in.sequences, {}).back().train_perplexity;
+}
+
+double LstmEval(const AblationInputs& in, const std::string& phase,
+                int hidden) {
+  models::LstmConfig config;
+  config.hidden_size = hidden;
+  models::LstmLanguageModel lstm(in.corpus.num_categories(), config);
+  bench::ScopedPhase timed(phase);
+  return lstm.Perplexity(in.sequences);
+}
+
+/// Next-product distribution of every sequence, summed into one checksum.
+double QueryAll(const models::ConditionalScorer& scorer,
+                const AblationInputs& in, const std::string& phase) {
+  bench::ScopedPhase timed(phase);
+  double checksum = 0.0;
+  for (const models::TokenSequence& sequence : in.sequences) {
+    checksum += Checksum(scorer.NextProductDistribution(sequence));
+  }
+  return checksum;
+}
+
+struct AblationCase {
+  std::string phase;
+  std::string output;  ///< the gauge is hlm.bench.<phase>_<output>
+  /// Runs the case, timing its workload inside bench::ScopedPhase(phase).
+  std::function<double(const AblationInputs&, const std::string&)> run;
+};
+
+std::vector<AblationCase> AblationCases() {
+  using In = const AblationInputs&;
+  using Phase = const std::string&;
+  std::vector<AblationCase> cases;
+  for (int k : {2, 4, 8, 16}) {
+    cases.push_back({"lda_gibbs_k" + std::to_string(k), "perplexity",
+                     [k](In in, Phase p) { return LdaGibbs(in, p, k); }});
+  }
+  cases.push_back({"lda_fold_in", "checksum", [](In in, Phase p) {
+                     bench::ScopedPhase timed(p);
+                     double checksum = 0.0;
+                     for (const models::TokenSequence& s : in.sequences) {
+                       checksum += Checksum(in.lda.InferTopicMixture(s));
+                     }
+                     return checksum;
+                   }});
+  cases.push_back({"lda_perplexity_plugin", "perplexity", [](In in, Phase p) {
+                     bench::ScopedPhase timed(p);
+                     return in.lda.Perplexity(in.slice);
+                   }});
+  for (int particles : {5, 20}) {
+    cases.push_back(
+        {"lda_perplexity_l2r_p" + std::to_string(particles), "perplexity",
+         [particles](In in, Phase p) {
+           bench::ScopedPhase timed(p);
+           return in.lda.PerplexityLeftToRight(in.slice, particles);
+         }});
+  }
+  for (int depth : {1, 2, 3}) {
+    cases.push_back({"chh_depth" + std::to_string(depth), "rules",
+                     [depth](In in, Phase p) {
+                       return ChhDepth(in, p, depth);
+                     }});
+  }
+  for (size_t contexts : {64, 1024}) {
+    cases.push_back({"chh_approx_" + std::to_string(contexts), "contexts",
+                     [contexts](In in, Phase p) {
+                       return ChhApproximate(in, p, contexts);
+                     }});
+  }
+  cases.push_back({"chh_query", "checksum",
+                   [](In in, Phase p) { return QueryAll(in.chh, in, p); }});
+  cases.push_back({"chh_rules", "count", [](In in, Phase p) {
+                     bench::ScopedPhase timed(p);
+                     return static_cast<double>(
+                         in.chh.ExtractRules(0.2).size());
+                   }});
+  for (int companies : {500, 2000}) {
+    cases.push_back({"corpus_generate_" + std::to_string(companies),
+                     "installs", [companies](In, Phase p) {
+                       return GenerateCorpus(p, companies);
+                     }});
+  }
+  cases.push_back({"corpus_aggregate_sites", "installs", [](In in, Phase p) {
+                     bench::ScopedPhase timed(p);
+                     double installs = 0.0;
+                     for (const auto& record : in.corpus.records()) {
+                       installs += static_cast<double>(
+                           corpus::AggregateSites(record.company).size());
+                     }
+                     return installs;
+                   }});
+  cases.push_back({"corpus_tfidf", "checksum", [](In in, Phase p) {
+                     bench::ScopedPhase timed(p);
+                     auto model = corpus::TfidfModel::Fit(in.corpus);
+                     double checksum = 0.0;
+                     for (const std::vector<double>& row :
+                          model.TransformAll(in.corpus)) {
+                       checksum += Checksum(row);
+                     }
+                     return checksum;
+                   }});
+  for (int companies : {300, 1000}) {
+    cases.push_back({"corpus_linkage_" + std::to_string(companies), "linked",
+                     [companies](In, Phase p) {
+                       return LinkRecords(p, companies);
+                     }});
+  }
+  cases.push_back({"corpus_sliding_window", "best_f1", [](In in, Phase p) {
+                     recsys::RecommendationEvalConfig config;
+                     config.thresholds = recsys::DefaultThresholds();
+                     bench::ScopedPhase timed(p);
+                     double best_f1 = 0.0;
+                     for (const recsys::ThresholdEvaluation& eval :
+                          recsys::EvaluateRandomBaseline(in.corpus, config)) {
+                       best_f1 = std::max(best_f1, eval.mean_f1);
+                     }
+                     return best_f1;
+                   }});
+  for (int k : {8, 50, 200}) {
+    cases.push_back({"cluster_kmeans_k" + std::to_string(k), "inertia",
+                     [k](In in, Phase p) { return KMeansCase(in, p, k); }});
+  }
+  cases.push_back({"cluster_silhouette_full", "score",
+                   [](In in, Phase p) { return Silhouette(in, p, 0); }});
+  for (int sample : {200, 500}) {
+    cases.push_back({"cluster_silhouette_s" + std::to_string(sample), "score",
+                     [sample](In in, Phase p) {
+                       return Silhouette(in, p, sample);
+                     }});
+  }
+  cases.push_back({"cluster_distances_euclidean", "checksum",
+                   [](In in, Phase p) {
+                     return Distances(in, p, cluster::DistanceKind::kEuclidean);
+                   }});
+  cases.push_back({"cluster_distances_cosine", "checksum", [](In in, Phase p) {
+                     return Distances(in, p, cluster::DistanceKind::kCosine);
+                   }});
+  for (int iterations : {200, 800}) {
+    cases.push_back({"cluster_tsne_i" + std::to_string(iterations), "spread",
+                     [iterations](In, Phase p) {
+                       return TsneCase(p, iterations);
+                     }});
+  }
+  for (auto [layers, hidden] : {std::pair{1, 10}, std::pair{1, 100},
+                                std::pair{1, 200}, std::pair{2, 100},
+                                std::pair{3, 100}}) {
+    cases.push_back({"lstm_epoch_l" + std::to_string(layers) + "_h" +
+                         std::to_string(hidden),
+                     "perplexity", [layers, hidden](In in, Phase p) {
+                       return LstmEpoch(in, p, layers, hidden);
+                     }});
+  }
+  for (int hidden : {100, 300}) {
+    cases.push_back({"lstm_eval_h" + std::to_string(hidden), "perplexity",
+                     [hidden](In in, Phase p) {
+                       return LstmEval(in, p, hidden);
+                     }});
+  }
+  cases.push_back({"lstm_query", "checksum", [](In in, Phase p) {
+                     models::LstmConfig config;
+                     config.hidden_size = 100;
+                     models::LstmLanguageModel lstm(
+                         in.corpus.num_categories(), config);
+                     return QueryAll(lstm, in, p);
+                   }});
+  return cases;
+}
+
+void RunAblationSuite(const bench::BenchEnv& env) {
+  const AblationInputs inputs = MakeAblationInputs(env.world.corpus);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  for (const AblationCase& c : AblationCases()) {
+    metrics.GetGauge("hlm.bench." + c.phase + "_" + c.output)
+        ->Set(c.run(inputs, c.phase));
+  }
+}
+
+// ---------------------------------------------------------------------
+// parallel suite: the thread-scaling curve of the parallelised hot paths
+// (held-out LDA perplexity, sliding-window recommender evaluation). Each
+// point is the phase <workload>_t1/_t2/_t4/_tmax (tmax = every hardware
+// thread), so the phase set is the same on every machine. The results
+// must be bit-identical at every point (the determinism contract); the
+// suite aborts when they are not.
+
+const char* const kParallelWorkloads[] = {"lda_perplexity",
+                                          "evaluate_recommender"};
+const char* const kThreadPoints[] = {"t1", "t2", "t4", "tmax"};
+
+void RunParallelSuite(const bench::BenchEnv& env) {
+  models::LdaModel lda = [&] {
+    bench::ScopedPhase phase("train_lda");
+    models::LdaConfig config;
+    config.num_topics = 4;
+    models::LdaModel model(env.world.corpus.num_categories(), config);
+    HLM_CHECK_OK(model.Train(env.train_seqs_pre2013));
+    return model;
+  }();
+  recsys::RecommendationEvalConfig eval_config;
+  eval_config.thresholds = {0.05, 0.10, 0.15};
+  // Read-only capacity query, no thread is spawned here.
+  // hlm-lint: allow(no-raw-thread)
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  const int threads[] = {1, 2, 4, std::max(1, cores)};
+
+  double reference_perplexity = 0.0;
+  std::vector<double> reference_evals;
+  for (size_t point = 0; point < std::size(kThreadPoints); ++point) {
+    SetNumThreads(threads[point]);
+    const std::string suffix = std::string("_") + kThreadPoints[point];
+    double perplexity = 0.0;
+    {
+      bench::ScopedPhase phase(kParallelWorkloads[0] + suffix);
+      perplexity = lda.Perplexity(env.test_seqs);
+    }
+    std::vector<double> evals;  // precision, recall, F1 per threshold
+    {
+      bench::ScopedPhase phase(kParallelWorkloads[1] + suffix);
+      for (const recsys::ThresholdEvaluation& eval :
+           recsys::EvaluateRecommender(lda, env.world.corpus, eval_config)) {
+        evals.insert(evals.end(),
+                     {eval.mean_precision, eval.mean_recall, eval.mean_f1});
+      }
+    }
+    if (point == 0) {
+      reference_perplexity = perplexity;
+      reference_evals = evals;
+    }
+    HLM_CHECK(perplexity == reference_perplexity)
+        << "LDA perplexity differed at " << threads[point] << " threads";
+    HLM_CHECK(evals == reference_evals)
+        << "recommender evaluation differed at " << threads[point]
+        << " threads";
+  }
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.GetGauge("hlm.bench.parallel_lda_perplexity")
+      ->Set(reference_perplexity);
+  metrics.GetGauge("hlm.bench.parallel_eval_checksum")
+      ->Set(Checksum(reference_evals));
+}
+
+// ---------------------------------------------------------------------
+// The suite table: --list, the --suite lookup, and each suite's default
+// corpus size all read it.
+
+/// A suite runner's inputs: the corpus environment (null when the suite
+/// builds no corpus) and the kernels suite's --min_speedup bar.
+struct SuiteArgs {
+  const bench::BenchEnv* env = nullptr;
+  double min_speedup = 0.0;
+};
+
+struct Suite {
+  const char* name;
+  long long companies;  ///< default --companies; 0 = no corpus is built
+  bool (*run)(const SuiteArgs& args);  ///< false = an in-suite gate failed
+  const char* description;
+  std::vector<std::string> phases;
+};
+
+const std::vector<Suite>& Suites() {
+  static const std::vector<Suite>* suites = [] {
+    const std::vector<std::string> smoke = {
+        "make_env",    "train_lda",         "lda_perplexity", "train_chh",
+        "recsys_eval", "similarity_search", "serve_registry"};
+    std::vector<std::string> full = smoke;
+    full.insert(full.end(), {"train_lstm", "train_bpmf"});
+    std::vector<std::string> ablations = {"make_env"};
+    for (const AblationCase& c : AblationCases()) ablations.push_back(c.phase);
+    std::vector<std::string> parallel = {"make_env", "train_lda"};
+    for (const char* workload : kParallelWorkloads) {
+      for (const char* point : kThreadPoints) {
+        parallel.push_back(std::string(workload) + "_" + point);
+      }
+    }
+    return new std::vector<Suite>{
+        {"smoke", 300,
+         [](const SuiteArgs& a) {
+           RunModelSuite(*a.env, /*full=*/false);
+           return true;
+         },
+         "fast tier-1 suite: corpus, LDA + CHH, threshold sweep, "
+         "similarity search, registry round trip",
+         smoke},
+        {"full", 800,
+         [](const SuiteArgs& a) {
+           RunModelSuite(*a.env, /*full=*/true);
+           return true;
+         },
+         "smoke plus LSTM and BPMF training", full},
+        {"kernels", 0,
+         [](const SuiteArgs& a) { return RunKernelsSuite(a.min_speedup); },
+         "dispatched SIMD kernels vs scalar references (dot, distance, "
+         "matvec, score_block)",
+         {"kernels"}},
+        {"serve", 150,
+         [](const SuiteArgs& a) {
+           RunServeSuite(*a.env);
+           return true;
+         },
+         "snapshot -> hlm_serve boot -> request mix -> hot reload",
+         {"make_env", "serve_snapshot", "serve_start", "serve_requests",
+          "serve_reload"}},
+        {"ablations", 600,
+         [](const SuiteArgs& a) {
+           RunAblationSuite(*a.env);
+           return true;
+         },
+         "design-choice ablations: LDA estimators, CHH depth, LSTM "
+         "capacity, corpus and clustering substrates",
+         ablations},
+        {"parallel", 600,
+         [](const SuiteArgs& a) {
+           RunParallelSuite(*a.env);
+           return true;
+         },
+         "thread scaling of the parallel hot paths; results must be "
+         "bit-identical at every point",
+         parallel},
+    };
+  }();
+  return *suites;
 }
 
 /// Metrics whose values legitimately vary across machines or thread
@@ -734,7 +1168,9 @@ Result<obs::MetricsSnapshot> LoadSnapshot(const std::string& path) {
 
 int Main(int argc, char** argv) {
   FlagSet flags;
-  std::string suite = "smoke";
+  bench::RunFlags run;
+  bench::AddRunFlags(&flags, &run);
+  std::string suite_name = "smoke";
   std::string out;
   std::string baseline_path;
   bool check = false;
@@ -744,15 +1180,7 @@ int Main(int argc, char** argv) {
   double walltime_slack = 0.05;
   double inject_slowdown = 1.0;
   double min_speedup = 0.0;
-  long long companies = 0;
-  long long seed = 42;
-  long long threads = 0;
-  std::string simd_mode;
-  flags.AddString("suite", &suite, "bench suite: smoke (fast, tier-1), "
-                  "full (adds LSTM + BPMF training), kernels (SIMD "
-                  "kernel micro-bench vs scalar references), or serve "
-                  "(snapshot -> hlm_serve boot -> request mix -> hot "
-                  "reload)");
+  flags.AddString("suite", &suite_name, "bench suite (see --list)");
   flags.AddString("out", &out,
                   "write the run's BENCH JSON here (default "
                   "BENCH_<suite>.json; 'none' skips the write)");
@@ -773,16 +1201,6 @@ int Main(int argc, char** argv) {
   flags.AddDouble("inject_slowdown", &inject_slowdown,
                   "stretch every phase by this factor (self-test hook; "
                   "1 = off)");
-  flags.AddInt64("companies", &companies,
-                 "corpus size (0 = suite default: 300 smoke, 800 full)");
-  flags.AddInt64("seed", &seed, "corpus generator seed");
-  flags.AddInt64("threads", &threads,
-                 "worker threads (0 = HLM_THREADS env or all cores); "
-                 "metric values are identical at any setting");
-  flags.AddString("simd", &simd_mode,
-                  "kernel dispatch path: auto, off, or avx2 (empty = "
-                  "HLM_SIMD env, then auto); metric values are identical "
-                  "on every path");
   flags.AddDouble("min_speedup", &min_speedup,
                   "kernels suite only: fail when any timed kernel at "
                   "d >= 64 beats the scalar reference by less than this "
@@ -794,95 +1212,56 @@ int Main(int argc, char** argv) {
     return 2;
   }
   if (list) {
-    std::printf("suites:\n"
-                "  smoke    make_env train_lda lda_perplexity train_chh "
-                "recsys_eval similarity_search serve_registry\n"
-                "  full     smoke phases + train_lstm train_bpmf\n"
-                "  kernels  dispatched SIMD kernels vs scalar references "
-                "(dot, distance, matvec, score_block)\n"
-                "  serve    make_env serve_snapshot serve_start "
-                "serve_requests serve_reload\n");
+    for (const Suite& candidate : Suites()) {
+      std::printf("%-10s %s (default --companies %lld)\n", candidate.name,
+                  candidate.description, candidate.companies);
+      for (const std::string& phase : candidate.phases) {
+        std::printf("             %s\n", phase.c_str());
+      }
+    }
     return 0;
   }
-  if (suite != "smoke" && suite != "full" && suite != "kernels" &&
-      suite != "serve") {
-    std::fprintf(stderr,
-                 "unknown --suite: %s (want smoke, full, kernels, or "
-                 "serve)\n",
-                 suite.c_str());
+  const Suite* suite = nullptr;
+  std::string names;
+  for (const Suite& candidate : Suites()) {
+    if (suite_name == candidate.name) suite = &candidate;
+    names += names.empty() ? "" : ", ";
+    names += candidate.name;
+  }
+  if (suite == nullptr) {
+    std::fprintf(stderr, "unknown --suite: %s (want one of %s)\n",
+                 suite_name.c_str(), names.c_str());
     return 2;
   }
   if (inject_slowdown < 1.0) {
     std::fprintf(stderr, "--inject_slowdown must be >= 1\n");
     return 2;
   }
-  if (companies <= 0 && suite != "kernels") {
-    companies = suite == "full" ? 800 : (suite == "serve" ? 150 : 300);
+  if (run.companies <= 0) run.companies = suite->companies;
+  if (out.empty()) out = "BENCH_" + suite_name + ".json";
+  if (baseline_path.empty()) {
+    baseline_path = "bench/baselines/" + suite_name + ".json";
   }
-  if (out.empty()) out = "BENCH_" + suite + ".json";
-  if (baseline_path.empty()) baseline_path = "bench/baselines/" + suite +
-                                             ".json";
-  if (threads > 0) SetNumThreads(static_cast<int>(threads));
-  g_slowdown = inject_slowdown;
-
-  // Pin the kernel dispatch path before any kernel runs: an explicit
-  // --simd wins over the HLM_SIMD env var.
-  if (!simd_mode.empty()) {
-    Result<simd::SimdMode> mode = simd::ParseSimdMode(simd_mode);
-    if (!mode.ok()) {
-      std::fprintf(stderr, "bad --simd: %s\n",
-                   mode.status().ToString().c_str());
-      return 2;
-    }
-    Status simd_status = simd::SetSimdMode(*mode);
-    if (!simd_status.ok()) {
-      std::fprintf(stderr, "--simd=%s rejected: %s\n", simd_mode.c_str(),
-                   simd_status.ToString().c_str());
-      return 2;
-    }
-  } else {
-    simd::InitFromEnv();
-  }
-
-  const std::string run_id = obs::ComputeRunId(
-      {"hlm_bench", suite, std::to_string(seed), std::to_string(companies),
-       std::to_string(NumThreads())});
+  bench::SetPhaseSlowdown(inject_slowdown);
+  bench::StartRun(run, "hlm_bench", suite_name);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.SetMeta("schema", kSchema);
-  metrics.SetMeta("suite", suite);
-  metrics.SetMeta("run_id", run_id);
-  metrics.SetMeta("harness", "hlm_bench");
-  metrics.SetMeta("seed", std::to_string(seed));
-  metrics.SetMeta("companies", std::to_string(companies));
-  metrics.SetMeta("threads", std::to_string(NumThreads()));
-  metrics.SetMeta("host_cores",  // hlm-lint: allow(no-raw-thread)
-                  std::to_string(std::thread::hardware_concurrency()));
-  metrics.GetGauge("hlm.bench.companies")
-      ->Set(static_cast<double>(companies));
-  metrics.GetGauge("hlm.bench.seed")->Set(static_cast<double>(seed));
-  metrics.GetGauge("hlm.bench.threads")
-      ->Set(static_cast<double>(NumThreads()));
-  metrics.SetMeta("simd.requested", simd_mode.empty() ? "env" : simd_mode);
-  metrics.SetMeta("simd.active_path", simd::ActivePathName());
-  metrics.SetMeta("simd.avx2_available",
-                  simd::Avx2Available() ? "1" : "0");
+  metrics.SetMeta("suite", suite_name);
 
   std::printf("hlm_bench: suite=%s companies=%lld seed=%lld threads=%d "
               "simd=%s run_id=%s\n",
-              suite.c_str(), companies, seed, NumThreads(),
-              simd::ActivePathName().c_str(), run_id.c_str());
-  bool speedup_ok = true;
-  if (suite == "kernels") {
-    speedup_ok = RunKernelsSuite(min_speedup);
-  } else if (suite == "serve") {
-    SuiteEnv env = BuildEnv(companies, seed);
-    RunServeSuite(env, run_id);
-  } else {
-    SuiteEnv env = BuildEnv(companies, seed);
-    RunSuite(suite, env, run_id);
-  }
+              suite->name, run.companies, run.seed, NumThreads(),
+              simd::ActivePathName().c_str(), bench::RunId().c_str());
+  std::optional<bench::BenchEnv> env;
+  if (suite->companies > 0) env = bench::BuildEnv(run.companies, run.seed);
+  const bool suite_ok = suite->run({env ? &*env : nullptr, min_speedup});
 
-  obs::MetricsSnapshot snapshot = BuildSnapshot();
+  obs::MetricsSnapshot snapshot = bench::Snapshot();
+  for (const auto& [key, seconds] : snapshot.meta) {
+    if (key.rfind("walltime.", 0) == 0) {
+      std::printf("  %-44s %ss\n", key.c_str(), seconds.c_str());
+    }
+  }
   if (out != "none") {
     std::ofstream out_stream(out);
     if (!out_stream) {
@@ -903,8 +1282,8 @@ int Main(int argc, char** argv) {
     baseline_stream << snapshot.ToJson() << "\n";
     std::printf("baseline updated: %s\n", baseline_path.c_str());
   }
-  if (!speedup_ok) {
-    std::fprintf(stderr, "kernels speedup gate FAILED (--min_speedup)\n");
+  if (!suite_ok) {
+    std::fprintf(stderr, "%s suite gate FAILED\n", suite->name);
     return 1;
   }
   if (!check) return 0;
