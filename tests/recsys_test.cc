@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "common/parallel.h"
 #include "corpus/generator.h"
 #include "corpus/month.h"
 #include "corpus/product_taxonomy.h"
+#include "math/matrix.h"
 #include "math/rng.h"
 #include "math/vector_ops.h"
+#include "models/chh.h"
+#include "models/lda.h"
 #include "obs/metrics.h"
 #include "recsys/evaluation.h"
 #include "recsys/similarity_search.h"
@@ -199,43 +206,278 @@ TEST(EvaluationTest, DefaultThresholdsMatchFig3Grid) {
   EXPECT_DOUBLE_EQ(thresholds.back(), 0.4);
 }
 
+// One threshold's full expected ThresholdEvaluation.
+struct GoldenThreshold {
+  double threshold;
+  std::vector<WindowObservation> windows;
+  // precision, recall, f1, retrieved, correct, relevant
+  std::array<double, 6> means;
+  // lo, hi of the precision, recall, f1, retrieved and correct CIs
+  std::array<double, 10> cis;
+  bool any_retrieved;
+};
+
+void ExpectGolden(const std::vector<ThresholdEvaluation>& evals,
+                  const std::vector<GoldenThreshold>& golden) {
+  ASSERT_EQ(evals.size(), golden.size());
+  for (size_t t = 0; t < golden.size(); ++t) {
+    SCOPED_TRACE("threshold index " + std::to_string(t));
+    const ThresholdEvaluation& eval = evals[t];
+    EXPECT_EQ(eval.threshold, golden[t].threshold);
+    ASSERT_EQ(eval.windows.size(), golden[t].windows.size());
+    for (size_t w = 0; w < eval.windows.size(); ++w) {
+      EXPECT_EQ(eval.windows[w].retrieved, golden[t].windows[w].retrieved);
+      EXPECT_EQ(eval.windows[w].correct, golden[t].windows[w].correct);
+      EXPECT_EQ(eval.windows[w].relevant, golden[t].windows[w].relevant);
+    }
+    const std::array<double, 6> means = {
+        eval.mean_precision, eval.mean_recall,  eval.mean_f1,
+        eval.mean_retrieved, eval.mean_correct, eval.mean_relevant};
+    const std::array<double, 10> cis = {
+        eval.precision_ci.lo, eval.precision_ci.hi, eval.recall_ci.lo,
+        eval.recall_ci.hi,    eval.f1_ci.lo,        eval.f1_ci.hi,
+        eval.retrieved_ci.lo, eval.retrieved_ci.hi, eval.correct_ci.lo,
+        eval.correct_ci.hi};
+    for (size_t i = 0; i < means.size(); ++i) {
+      EXPECT_EQ(means[i], golden[t].means[i]) << "mean " << i;
+    }
+    for (size_t i = 0; i < cis.size(); ++i) {
+      EXPECT_EQ(cis[i], golden[t].cis[i]) << "ci bound " << i;
+    }
+    EXPECT_EQ(eval.any_retrieved, golden[t].any_retrieved);
+  }
+}
+
 TEST(EvaluationTest, ResultsIdenticalAcrossThreadCounts) {
-  // The per-window company scoring fans out over the pool; the whole
-  // evaluation (counts, means, CIs) must be bit-for-bit equal at any
-  // thread count. Corpus generation itself is also parallel, so the two
-  // generated corpora double as a determinism check for the generator.
+  // The per-window company scoring fans out over the pool; every field
+  // of every entry point's evaluation must equal the pinned values at
+  // any thread count. Corpus generation itself is also parallel, so the
+  // two generated corpora double as a determinism check for the
+  // generator.
   SetNumThreads(1);
-  auto world_1 = corpus::GenerateDefaultCorpus(300, 11);
-  RecommendationEvalConfig config;
-  config.thresholds = {0.05, 0.15};
-  FixedScorer scorer(0.1);
-  auto evals_1 = EvaluateRecommender(scorer, world_1.corpus, config);
+  auto world = corpus::GenerateDefaultCorpus(300, 11);
+  const corpus::Corpus& c = world.corpus;
+  models::LdaConfig lda_config;
+  lda_config.num_topics = 4;
+  lda_config.burn_in_iterations = 30;
+  lda_config.post_burn_in_samples = 4;
+  models::LdaModel lda(c.num_categories(), lda_config);
+  ASSERT_TRUE(lda.Train(c.Sequences()).ok());
+  models::ConditionalHeavyHitters chh(c.num_categories(),
+                                      models::ChhConfig{});
+  chh.Train(c.Sequences());
+  // Multiples of 0.01, so some scores sit exactly on a threshold.
+  Matrix scores(c.num_companies(), c.num_categories());
+  for (int i = 0; i < c.num_companies(); ++i) {
+    for (int j = 0; j < c.num_categories(); ++j) {
+      scores(i, j) = static_cast<double>((i * 7 + j * 13) % 20) / 100.0;
+    }
+  }
 
   SetNumThreads(4);
   auto world_4 = corpus::GenerateDefaultCorpus(300, 11);
-  ASSERT_EQ(world_4.corpus.num_companies(), world_1.corpus.num_companies());
-  for (int i = 0; i < world_1.corpus.num_companies(); ++i) {
+  ASSERT_EQ(world_4.corpus.num_companies(), c.num_companies());
+  for (int i = 0; i < c.num_companies(); ++i) {
     ASSERT_EQ(world_4.corpus.record(i).company.name,
-              world_1.corpus.record(i).company.name);
+              c.record(i).company.name);
   }
-  auto evals_4 = EvaluateRecommender(scorer, world_4.corpus, config);
-  SetNumThreads(0);
 
-  ASSERT_EQ(evals_4.size(), evals_1.size());
-  for (size_t t = 0; t < evals_1.size(); ++t) {
-    EXPECT_EQ(evals_4[t].mean_precision, evals_1[t].mean_precision);
-    EXPECT_EQ(evals_4[t].mean_recall, evals_1[t].mean_recall);
-    EXPECT_EQ(evals_4[t].mean_f1, evals_1[t].mean_f1);
-    ASSERT_EQ(evals_4[t].windows.size(), evals_1[t].windows.size());
-    for (size_t w = 0; w < evals_1[t].windows.size(); ++w) {
-      EXPECT_EQ(evals_4[t].windows[w].retrieved,
-                evals_1[t].windows[w].retrieved);
-      EXPECT_EQ(evals_4[t].windows[w].correct,
-                evals_1[t].windows[w].correct);
-      EXPECT_EQ(evals_4[t].windows[w].relevant,
-                evals_1[t].windows[w].relevant);
+  RecommendationEvalConfig config;
+  config.protocol.num_windows = 3;
+  config.protocol.stride_months = 6;
+  // Unsorted and with a duplicate: each threshold is counted on its own.
+  config.thresholds = {0.15, 0.0, 0.05, 0.05};
+
+  const std::vector<GoldenThreshold> kLdaGolden = {
+    {0.15,
+     {{417, 30, 93}, {428, 33, 95}, {433, 35, 86}},
+     {0.076625552852488246, 0.35897527013332281, 0.12623894888547785,
+      426, 32.666666666666664, 91.333333333333329},
+     {0.071574541364338135, 0.081676564340638358,
+      0.30988851316673349, 0.40806202709991213,
+      0.11649154388896113, 0.13598635388199456,
+      416.73757156750082, 435.26242843249918,
+      29.818905017174302, 35.514428316159027},
+     true},
+    {0.0,
+     {{9623, 93, 93}, {9726, 95, 95}, {9824, 86, 86}},
+     {0.0093953502158654664, 1, 0.018615395042407203,
+      9724.3333333333339, 91.333333333333329, 91.333333333333329},
+     {0.0087641974757132757, 0.010026502956017657,
+      1, 1,
+      0.017376098589116741, 0.019854691495697664,
+      9610.5972388638711, 9838.0694278027968,
+      85.985667784480299, 96.680998882186358},
+     true},
+    {0.05,
+     {{1774, 74, 93}, {1794, 81, 95}, {1811, 76, 86}},
+     {0.042943302643749327, 0.84401714463703648, 0.081719245132503671,
+      1793, 77, 91.333333333333329},
+     {0.040775588618176158, 0.045111016669322497,
+      0.79350448672851526, 0.8945298025455577,
+      0.077730271506173912, 0.085708218758833429,
+      1772.042738906506, 1813.957261093494,
+      72.920009609915482, 81.079990390084518},
+     true},
+    {0.05,
+     {{1774, 74, 93}, {1794, 81, 95}, {1811, 76, 86}},
+     {0.042943302643749327, 0.84401714463703648, 0.081719245132503671,
+      1793, 77, 91.333333333333329},
+     {0.040775588618176158, 0.045111016669322497,
+      0.79350448672851526, 0.8945298025455577,
+      0.077730271506173912, 0.085708218758833429,
+      1772.042738906506, 1813.957261093494,
+      72.920009609915482, 81.079990390084518},
+     true}};
+
+  const std::vector<GoldenThreshold> kChhGolden = {
+    {0.15,
+     {{500, 39, 93}, {522, 41, 95}, {546, 41, 86}},
+     {0.077211878798085692, 0.44255932404153675, 0.13139417998268485,
+      522.66666666666663, 40.333333333333336, 91.333333333333329},
+     {0.075111341544866442, 0.079312416051304943,
+      0.40835227522101175, 0.47676637286206175,
+      0.12960420495889036, 0.13318415500647934,
+      496.63199615662387, 548.70133717670944,
+      39.026690675919873, 41.639975990746798},
+     true},
+    {0.0,
+     {{9623, 93, 93}, {9726, 95, 95}, {9824, 86, 86}},
+     {0.0093953502158654664, 1, 0.018615395042407203,
+      9724.3333333333339, 91.333333333333329, 91.333333333333329},
+     {0.0087641974757132757, 0.010026502956017657,
+      1, 1,
+      0.017376098589116741, 0.019854691495697664,
+      9610.5972388638711, 9838.0694278027968,
+      85.985667784480299, 96.680998882186358},
+     true},
+    {0.05,
+     {{1652, 79, 93}, {1677, 78, 95}, {1681, 70, 86}},
+     {0.045324776994987097, 0.82815616184747942, 0.085936954629401333,
+      1670, 75.666666666666671, 91.333333333333329},
+     {0.041640375419026231, 0.049009178570947963,
+      0.80689363285335369, 0.84941869084160515,
+      0.07921311090373917, 0.092660798355063495,
+      1652.2157341990044, 1687.7842658009956,
+      70.084686787300527, 81.248646546032816},
+     true},
+    {0.05,
+     {{1652, 79, 93}, {1677, 78, 95}, {1681, 70, 86}},
+     {0.045324776994987097, 0.82815616184747942, 0.085936954629401333,
+      1670, 75.666666666666671, 91.333333333333329},
+     {0.041640375419026231, 0.049009178570947963,
+      0.80689363285335369, 0.84941869084160515,
+      0.07921311090373917, 0.092660798355063495,
+      1652.2157341990044, 1687.7842658009956,
+      70.084686787300527, 81.248646546032816},
+     true}};
+
+  const std::vector<GoldenThreshold> kScoreMatrixGolden = {
+    {0.15,
+     {{1916, 20, 93}, {1936, 18, 95}, {1954, 17, 86}},
+     {0.0094786787921571566, 0.20073395541867922, 0.018100776115228069,
+      1935.3333333333333, 18.333333333333332, 91.333333333333329},
+     {0.0084792605089324073, 0.010478097075381906,
+      0.18595362249342168, 0.21551428834393677,
+      0.01622896201815751, 0.019972590212298628,
+      1913.8232804682018, 1956.8433861984647,
+      16.604807571361036, 20.061859095305628},
+     true},
+    {0.0,
+     {{9147, 86, 93}, {9247, 89, 95}, {9341, 81, 86}},
+     {0.0092327271121355886, 0.93447791772504529, 0.018284378908998103,
+      9245, 85.333333333333329, 91.333333333333329},
+     {0.0086684298316283652, 0.009797024392642812,
+      0.92451320720199059, 0.94444262824809999,
+      0.017178440677615439, 0.019390317140380767,
+      9135.2186863522584, 9354.7813136477416,
+      80.760084032386203, 89.906582634280454},
+     true},
+    {0.05,
+     {{6734, 70, 93}, {6805, 74, 95}, {6869, 66, 86}},
+     {0.01029258432848597, 0.76635913364305985, 0.02031174608087024,
+      6802.666666666667, 70, 91.333333333333329},
+     {0.0095693077427669929, 0.011015860914204947,
+      0.75146402751668961, 0.78125423976943009,
+      0.018901154885838968, 0.021722337275901511,
+      6726.2504102441717, 6879.0829230891623,
+      65.473657060046136, 74.526342939953864},
+     true},
+    {0.05,
+     {{6734, 70, 93}, {6805, 74, 95}, {6869, 66, 86}},
+     {0.01029258432848597, 0.76635913364305985, 0.02031174608087024,
+      6802.666666666667, 70, 91.333333333333329},
+     {0.0095693077427669929, 0.011015860914204947,
+      0.75146402751668961, 0.78125423976943009,
+      0.018901154885838968, 0.021722337275901511,
+      6726.2504102441717, 6879.0829230891623,
+      65.473657060046136, 74.526342939953864},
+     true}};
+
+  const std::vector<GoldenThreshold> kRandomGolden = {
+    {0.15,
+     {{0, 0, 93}, {0, 0, 95}, {0, 0, 86}},
+     {0, 0, 0,
+      0, 0, 91.333333333333329},
+     {0, 0,
+      0, 0,
+      0, 0,
+      0, 0,
+      0, 0},
+     false},
+    {0.0,
+     {{9623, 93, 93}, {9726, 95, 95}, {9824, 86, 86}},
+     {0.0093953502158654664, 1, 0.018615395042407203,
+      9724.3333333333339, 91.333333333333329, 91.333333333333329},
+     {0.0087641974757132757, 0.010026502956017657,
+      1, 1,
+      0.017376098589116741, 0.019854691495697664,
+      9610.5972388638711, 9838.0694278027968,
+      85.985667784480299, 96.680998882186358},
+     true},
+    {0.05,
+     {{0, 0, 93}, {0, 0, 95}, {0, 0, 86}},
+     {0, 0, 0,
+      0, 0, 91.333333333333329},
+     {0, 0,
+      0, 0,
+      0, 0,
+      0, 0,
+      0, 0},
+     false},
+    {0.05,
+     {{0, 0, 93}, {0, 0, 95}, {0, 0, 86}},
+     {0, 0, 0,
+      0, 0, 91.333333333333329},
+     {0, 0,
+      0, 0,
+      0, 0,
+      0, 0,
+      0, 0},
+     false}};
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetNumThreads(threads);
+    {
+      SCOPED_TRACE("lda");
+      ExpectGolden(EvaluateRecommender(lda, c, config), kLdaGolden);
+    }
+    {
+      SCOPED_TRACE("chh");
+      ExpectGolden(EvaluateRecommender(chh, c, config), kChhGolden);
+    }
+    {
+      SCOPED_TRACE("score matrix");
+      ExpectGolden(EvaluateScoreMatrix(scores, c, config),
+                   kScoreMatrixGolden);
+    }
+    {
+      SCOPED_TRACE("random baseline");
+      ExpectGolden(EvaluateRandomBaseline(c, config), kRandomGolden);
     }
   }
+  SetNumThreads(0);
 }
 
 TEST(EvaluationTest, ConfidenceIntervalsShrinkWithConsistentWindows) {
