@@ -365,17 +365,19 @@ echo "== tier1: bench regression check (serve suite) =="
 
 echo "== tier1: thread-sanitizer stage =="
 if sanitizer_usable thread; then
-  echo "== tier1: tsan build (parallel_test + obs_test + server_test) =="
+  echo "== tier1: tsan build (parallel_test + obs_test + server_test + recsys_test) =="
   TSAN_BUILD_DIR="$BUILD_DIR-tsan"
   cmake -B "$TSAN_BUILD_DIR" -S "$REPO_ROOT" -DHLM_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)" \
-    --target parallel_test obs_test server_test
+    --target parallel_test obs_test server_test recsys_test
   echo "== tier1: tsan run =="
   "$TSAN_BUILD_DIR/tests/parallel_test"
   "$TSAN_BUILD_DIR/tests/obs_test"
   # The hot-reload race test under TSan certifies the atomic
   # snapshot-swap protocol (DESIGN.md "Serving").
   "$TSAN_BUILD_DIR/tests/server_test"
+  # The evaluation's per-window count reduction runs on pool workers.
+  "$TSAN_BUILD_DIR/tests/recsys_test"
 else
   echo "toolchain cannot build/run -fsanitize=thread; skipping tsan stage"
 fi

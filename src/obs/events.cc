@@ -85,25 +85,12 @@ void EventLog::Emit(
   bool keep = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = name_counts_.find(event.name);
-    if (it == name_counts_.end()) {
-      if (name_counts_.size() >= kMaxNames) {
-        event.name = kOverflowName;
-        it = name_counts_.find(event.name);
-        if (it == name_counts_.end()) {
-          it = name_counts_.emplace(event.name, 0).first;
-        }
-      } else {
-        it = name_counts_.emplace(event.name, 0).first;
-      }
+    if (!seen_names_.contains(event.name)) {
+      if (seen_names_.size() >= kMaxNames) event.name = kOverflowName;
+      seen_names_.insert(event.name);
     }
-    ++it->second;
-    if (buffer_.size() >= kMaxBuffered) {
-      ++dropped_;
-      keep = false;
-    } else {
-      buffer_.push_back(event);
-    }
+    keep = buffer_.size() < kMaxBuffered;
+    if (keep) buffer_.push_back(event);
   }
 
   static Counter* emitted_total =
@@ -126,11 +113,6 @@ std::vector<Event> EventLog::Events() const {
   return std::vector<Event>(buffer_.begin(), buffer_.end());
 }
 
-long long EventLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
 Status EventLog::WriteJsonl(const std::string& path) const {
   std::vector<Event> events = Events();
   // Diagnostic export, not a snapshot: nothing reloads this file as
@@ -148,8 +130,7 @@ Status EventLog::WriteJsonl(const std::string& path) const {
 void EventLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   buffer_.clear();
-  name_counts_.clear();
-  dropped_ = 0;
+  seen_names_.clear();
 }
 
 }  // namespace hlm::obs

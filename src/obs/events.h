@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
-#include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -78,7 +78,8 @@ struct Event {
 /// Cardinality is bounded twice: at most kMaxNames distinct event names
 /// (later names collapse to "obs.events.overflow") and at most
 /// kMaxBuffered buffered events (beyond that, new events are counted in
-/// dropped() and discarded — the flight recorder still sees them).
+/// hlm.obs.events_dropped_total and discarded — the flight recorder
+/// still sees them).
 class EventLog {
  public:
   static constexpr size_t kMaxNames = 512;
@@ -119,14 +120,12 @@ class EventLog {
 
   /// Copy of the buffered events, oldest first.
   std::vector<Event> Events() const;
-  /// Events discarded because the buffer was full.
-  long long dropped() const;
 
   /// Writes every buffered event as one JSONL line per event.
   Status WriteJsonl(const std::string& path) const;
 
-  /// Drops buffered events, per-name counts, and the dropped
-  /// counter (test isolation).
+  /// Drops buffered events and the set of seen names (test
+  /// isolation).
   void Clear();
 
  private:
@@ -135,8 +134,7 @@ class EventLog {
 
   mutable std::mutex mu_;
   std::deque<Event> buffer_;
-  std::map<std::string, uint64_t> name_counts_;
-  long long dropped_ = 0;
+  std::set<std::string> seen_names_;  // kMaxNames, then the overflow name
 };
 
 }  // namespace hlm::obs

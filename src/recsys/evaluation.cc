@@ -1,7 +1,6 @@
 #include "recsys/evaluation.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -12,48 +11,18 @@ namespace hlm::recsys {
 
 namespace {
 
-/// Per-(window, company) scored candidate set, computed once and swept
-/// across all thresholds.
-struct ScoredCompany {
-  std::vector<int> candidates;       // unowned products
-  std::vector<double> scores;        // aligned with candidates
-  std::vector<bool> in_truth;        // aligned with candidates
-  long long relevant = 0;            // ground-truth size for the company
-};
-
+/// Fills each threshold's cross-window means and confidence intervals
+/// from its per-window counts.
 std::vector<ThresholdEvaluation> SweepThresholds(
-    const std::vector<std::vector<ScoredCompany>>& per_window,
+    std::vector<ThresholdEvaluation> evaluations,
     const RecommendationEvalConfig& config) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceSpan sweep_span(
       "recsys.threshold_sweep",
       metrics.GetHistogram("hlm.recsys.threshold_sweep_seconds"));
   metrics.GetCounter("hlm.recsys.thresholds_swept_total")
-      ->Increment(static_cast<long long>(config.thresholds.size()));
-  std::vector<ThresholdEvaluation> evaluations;
-  evaluations.reserve(config.thresholds.size());
-  for (double threshold : config.thresholds) {
-    ThresholdEvaluation evaluation;
-    evaluation.threshold = threshold;
-    for (const auto& companies : per_window) {
-      WindowObservation observation;
-      for (const ScoredCompany& company : companies) {
-        observation.relevant += company.relevant;
-        for (size_t i = 0; i < company.candidates.size(); ++i) {
-          if (company.scores[i] > threshold) {
-            ++observation.retrieved;
-            if (company.in_truth[i]) ++observation.correct;
-          }
-        }
-      }
-      // Retrieval arithmetic invariants behind Fig. 3's precision/recall:
-      // correct hits are a subset of both the retrieved and the relevant
-      // sets.
-      HLM_DCHECK_LE(observation.correct, observation.retrieved);
-      HLM_DCHECK_LE(observation.correct, observation.relevant);
-      evaluation.windows.push_back(observation);
-    }
-
+      ->Increment(static_cast<long long>(evaluations.size()));
+  for (ThresholdEvaluation& evaluation : evaluations) {
     std::vector<double> precisions, recalls, f1s, retrieved, correct,
         relevant;
     for (const WindowObservation& obs : evaluation.windows) {
@@ -81,13 +50,15 @@ std::vector<ThresholdEvaluation> SweepThresholds(
     evaluation.retrieved_ci =
         MeanConfidenceInterval(retrieved, config.ci_level);
     evaluation.correct_ci = MeanConfidenceInterval(correct, config.ci_level);
-    evaluations.push_back(std::move(evaluation));
   }
   return evaluations;
 }
 
+/// Scores every company with history in every window and reduces each
+/// one at once to retrieval counts per threshold; returns one
+/// evaluation per threshold holding only its per-window counts.
 template <typename ScoreFn>
-std::vector<std::vector<ScoredCompany>> ScoreAllWindows(
+std::vector<ThresholdEvaluation> CountAllWindows(
     const corpus::Corpus& corpus, const RecommendationEvalConfig& config,
     const ScoreFn& score_company) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
@@ -96,47 +67,71 @@ std::vector<std::vector<ScoredCompany>> ScoreAllWindows(
   obs::Counter* companies_scored =
       metrics.GetCounter("hlm.recsys.companies_scored_total");
   obs::TraceSpan score_span("recsys.score_windows");
-  std::vector<std::vector<ScoredCompany>> per_window;
-  for (const auto& window : config.protocol.Windows()) {
+  const std::vector<double>& thresholds = config.thresholds;
+  std::vector<ThresholdEvaluation> evaluations(thresholds.size());
+  for (size_t t = 0; t < thresholds.size(); ++t) {
+    evaluations[t].threshold = thresholds[t];
+  }
+  const auto windows = config.protocol.Windows();
+  for (const auto& window : windows) {
     obs::ScopedTimer window_timer(window_seconds);
     // Companies score independently within a window, so they fan out
-    // over the pool into per-index slots; the serial compaction below
-    // preserves company order, keeping the result identical to the
-    // serial sweep at any thread count.
-    std::vector<std::optional<ScoredCompany>> slots(corpus.num_companies());
-    ParallelFor(
+    // over the pool; each returns its counts per threshold (empty when
+    // it has no history yet). The window total is an integer sum, the
+    // same at any thread count.
+    long long scored = 0;
+    std::vector<WindowObservation> totals = ParallelMapReduce(
         0, static_cast<size_t>(corpus.num_companies()), /*grain=*/0,
+        std::vector<WindowObservation>(thresholds.size()),
         [&](size_t i) {
+          std::vector<WindowObservation> counts;
           const corpus::InstallBase& base = corpus.record(i).install_base;
           corpus::InstallBase history = base.Before(window.start);
-          if (history.empty()) return;  // nothing to condition on yet
+          if (history.empty()) return counts;  // nothing to condition on
 
           std::vector<int> truth = base.AppearedIn(window.start, window.end);
-          ScoredCompany scored;
-          scored.relevant = static_cast<long long>(truth.size());
-
+          counts.assign(thresholds.size(),
+                        {0, 0, static_cast<long long>(truth.size())});
           std::vector<double> dist = score_company(static_cast<int>(i),
                                                    history);
           for (int c = 0; c < corpus.num_categories(); ++c) {
             if (history.Contains(c)) continue;  // never re-recommend owned
-            scored.candidates.push_back(c);
-            scored.scores.push_back(dist[c]);
-            scored.in_truth.push_back(
-                std::find(truth.begin(), truth.end(), c) != truth.end());
+            const bool in_truth =
+                std::find(truth.begin(), truth.end(), c) != truth.end();
+            for (size_t t = 0; t < thresholds.size(); ++t) {
+              if (dist[c] > thresholds[t]) {
+                ++counts[t].retrieved;
+                if (in_truth) ++counts[t].correct;
+              }
+            }
           }
-          slots[i] = std::move(scored);
+          return counts;
+        },
+        [&scored](std::vector<WindowObservation> sum,
+                  const std::vector<WindowObservation>& counts) {
+          if (counts.empty()) return sum;
+          ++scored;
+          for (size_t t = 0; t < sum.size(); ++t) {
+            sum[t].retrieved += counts[t].retrieved;
+            sum[t].correct += counts[t].correct;
+            sum[t].relevant += counts[t].relevant;
+          }
+          return sum;
         });
-    std::vector<ScoredCompany> companies;
-    for (std::optional<ScoredCompany>& slot : slots) {
-      if (slot.has_value()) companies.push_back(std::move(*slot));
+    companies_scored->Increment(scored);
+    for (size_t t = 0; t < thresholds.size(); ++t) {
+      // Retrieval arithmetic invariants behind Fig. 3's precision/recall:
+      // correct hits are a subset of both the retrieved and the relevant
+      // sets.
+      HLM_DCHECK_LE(totals[t].correct, totals[t].retrieved);
+      HLM_DCHECK_LE(totals[t].correct, totals[t].relevant);
+      evaluations[t].windows.push_back(totals[t]);
     }
-    companies_scored->Increment(static_cast<long long>(companies.size()));
-    per_window.push_back(std::move(companies));
   }
-  HLM_LOG(Debug) << "recsys scored " << per_window.size()
+  HLM_LOG(Debug) << "recsys scored " << windows.size()
                  << " sliding windows over " << corpus.num_companies()
                  << " companies";
-  return per_window;
+  return evaluations;
 }
 
 }  // namespace
@@ -151,12 +146,12 @@ std::vector<ThresholdEvaluation> EvaluateRecommender(
     const models::ConditionalScorer& scorer, const corpus::Corpus& corpus,
     const RecommendationEvalConfig& config) {
   HLM_CHECK_EQ(scorer.vocab_size(), corpus.num_categories());
-  auto per_window = ScoreAllWindows(
+  auto counted = CountAllWindows(
       corpus, config,
       [&scorer](int /*company*/, const corpus::InstallBase& history) {
         return scorer.NextProductDistribution(history.Sequence());
       });
-  return SweepThresholds(per_window, config);
+  return SweepThresholds(std::move(counted), config);
 }
 
 std::vector<ThresholdEvaluation> EvaluateScoreMatrix(
@@ -164,7 +159,7 @@ std::vector<ThresholdEvaluation> EvaluateScoreMatrix(
     const RecommendationEvalConfig& config) {
   HLM_CHECK_EQ(static_cast<int>(scores.rows()), corpus.num_companies());
   HLM_CHECK_EQ(static_cast<int>(scores.cols()), corpus.num_categories());
-  auto per_window = ScoreAllWindows(
+  auto counted = CountAllWindows(
       corpus, config,
       [&scores, &corpus](int company, const corpus::InstallBase&) {
         std::vector<double> dist(corpus.num_categories());
@@ -173,18 +168,18 @@ std::vector<ThresholdEvaluation> EvaluateScoreMatrix(
         }
         return dist;
       });
-  return SweepThresholds(per_window, config);
+  return SweepThresholds(std::move(counted), config);
 }
 
 std::vector<ThresholdEvaluation> EvaluateRandomBaseline(
     const corpus::Corpus& corpus, const RecommendationEvalConfig& config) {
   const double uniform = 1.0 / static_cast<double>(corpus.num_categories());
-  auto per_window = ScoreAllWindows(
+  auto counted = CountAllWindows(
       corpus, config,
       [&corpus, uniform](int, const corpus::InstallBase&) {
         return std::vector<double>(corpus.num_categories(), uniform);
       });
-  return SweepThresholds(per_window, config);
+  return SweepThresholds(std::move(counted), config);
 }
 
 }  // namespace hlm::recsys

@@ -23,10 +23,10 @@ constexpr int kTileItems = 128;
 SimilaritySearch::SimilaritySearch(
     std::vector<std::vector<double>> representations,
     cluster::DistanceKind kind)
-    : representations_(std::move(representations)), kind_(kind) {
-  if (!representations_.empty()) {
-    dim_ = static_cast<int>(representations_[0].size());
-    for (const std::vector<double>& row : representations_) {
+    : kind_(kind), size_(static_cast<int>(representations.size())) {
+  if (!representations.empty()) {
+    dim_ = static_cast<int>(representations[0].size());
+    for (const std::vector<double>& row : representations) {
       if (static_cast<int>(row.size()) != dim_) {
         ragged_ = true;
         break;
@@ -36,9 +36,9 @@ SimilaritySearch::SimilaritySearch(
   if (ragged_) return;
   // Flatten once and cache row norms so queries never recompute them
   // (Eq. 5 scans touch every row; the norms are query-invariant).
-  flat_.reserve(representations_.size() * static_cast<size_t>(dim_));
-  norms_.reserve(representations_.size());
-  for (const std::vector<double>& row : representations_) {
+  flat_.reserve(representations.size() * static_cast<size_t>(dim_));
+  norms_.reserve(representations.size());
+  for (const std::vector<double>& row : representations) {
     flat_.insert(flat_.end(), row.begin(), row.end());
     norms_.push_back(std::sqrt(simd::SquaredNorm(row.data(), row.size())));
   }
@@ -54,11 +54,21 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopK(
     if (candidate == query_id) return false;
     return filter == nullptr || filter(candidate);
   };
-  return TopKForVector(representations_[query_id], k, self_excluding_filter);
+  // A ragged index keeps no rows; Search rejects it before reading one.
+  const size_t d = static_cast<size_t>(dim_);
+  std::span<const double> row;
+  if (!ragged_) row = {flat_.data() + static_cast<size_t>(query_id) * d, d};
+  return Search(row, k, self_excluding_filter);
 }
 
 Result<std::vector<Neighbor>> SimilaritySearch::TopKForVector(
     const std::vector<double>& query, int k,
+    const std::function<bool(int)>& filter) const {
+  return Search(query, k, filter);
+}
+
+Result<std::vector<Neighbor>> SimilaritySearch::Search(
+    std::span<const double> query, int k,
     const std::function<bool(int)>& filter) const {
   // Serving hot path: pointers resolved once, then lock-free mutation.
   static obs::Histogram* query_seconds =
@@ -88,7 +98,7 @@ Result<std::vector<Neighbor>> SimilaritySearch::TopKForVector(
             std::to_string(dim_)));
   }
   std::vector<Neighbor> neighbors;
-  neighbors.reserve(representations_.size());
+  neighbors.reserve(static_cast<size_t>(size_));
   const size_t d = static_cast<size_t>(dim_);
   if (kind_ == cluster::DistanceKind::kCosine) {
     // Tiled block scan: one ScoreBlock call scores a whole tile of rows
