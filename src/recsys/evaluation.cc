@@ -1,6 +1,7 @@
 #include "recsys/evaluation.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -76,22 +77,21 @@ std::vector<ThresholdEvaluation> CountAllWindows(
   for (const auto& window : windows) {
     obs::ScopedTimer window_timer(window_seconds);
     // Companies score independently within a window, so they fan out
-    // over the pool; each returns its counts per threshold (empty when
+    // over the pool; each returns its counts per threshold (nullopt when
     // it has no history yet). The window total is an integer sum, the
     // same at any thread count.
     long long scored = 0;
     std::vector<WindowObservation> totals = ParallelMapReduce(
         0, static_cast<size_t>(corpus.num_companies()), /*grain=*/0,
         std::vector<WindowObservation>(thresholds.size()),
-        [&](size_t i) {
-          std::vector<WindowObservation> counts;
+        [&](size_t i) -> std::optional<std::vector<WindowObservation>> {
           const corpus::InstallBase& base = corpus.record(i).install_base;
           corpus::InstallBase history = base.Before(window.start);
-          if (history.empty()) return counts;  // nothing to condition on
+          if (history.empty()) return std::nullopt;  // nothing to condition on
 
           std::vector<int> truth = base.AppearedIn(window.start, window.end);
-          counts.assign(thresholds.size(),
-                        {0, 0, static_cast<long long>(truth.size())});
+          std::vector<WindowObservation> counts(
+              thresholds.size(), {0, 0, static_cast<long long>(truth.size())});
           std::vector<double> dist = score_company(static_cast<int>(i),
                                                    history);
           for (int c = 0; c < corpus.num_categories(); ++c) {
@@ -108,13 +108,13 @@ std::vector<ThresholdEvaluation> CountAllWindows(
           return counts;
         },
         [&scored](std::vector<WindowObservation> sum,
-                  const std::vector<WindowObservation>& counts) {
-          if (counts.empty()) return sum;
+                  const std::optional<std::vector<WindowObservation>>& counts) {
+          if (!counts) return sum;
           ++scored;
           for (size_t t = 0; t < sum.size(); ++t) {
-            sum[t].retrieved += counts[t].retrieved;
-            sum[t].correct += counts[t].correct;
-            sum[t].relevant += counts[t].relevant;
+            sum[t].retrieved += (*counts)[t].retrieved;
+            sum[t].correct += (*counts)[t].correct;
+            sum[t].relevant += (*counts)[t].relevant;
           }
           return sum;
         });

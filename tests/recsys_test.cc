@@ -251,9 +251,9 @@ void ExpectGolden(const std::vector<ThresholdEvaluation>& evals,
 TEST(EvaluationTest, ResultsIdenticalAcrossThreadCounts) {
   // The per-window company scoring fans out over the pool; every field
   // of every entry point's evaluation must equal the pinned values at
-  // any thread count. Corpus generation itself is also parallel, so the
-  // two generated corpora double as a determinism check for the
-  // generator.
+  // any thread count. Corpus generation itself is also parallel, so each
+  // thread count evaluates the corpus it generated itself, which doubles
+  // as a determinism check for the generator.
   SetNumThreads(1);
   auto world = corpus::GenerateDefaultCorpus(300, 11);
   const corpus::Corpus& c = world.corpus;
@@ -272,14 +272,6 @@ TEST(EvaluationTest, ResultsIdenticalAcrossThreadCounts) {
     for (int j = 0; j < c.num_categories(); ++j) {
       scores(i, j) = static_cast<double>((i * 7 + j * 13) % 20) / 100.0;
     }
-  }
-
-  SetNumThreads(4);
-  auto world_4 = corpus::GenerateDefaultCorpus(300, 11);
-  ASSERT_EQ(world_4.corpus.num_companies(), c.num_companies());
-  for (int i = 0; i < c.num_companies(); ++i) {
-    ASSERT_EQ(world_4.corpus.record(i).company.name,
-              c.record(i).company.name);
   }
 
   RecommendationEvalConfig config;
@@ -459,25 +451,56 @@ TEST(EvaluationTest, ResultsIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     SetNumThreads(threads);
+    auto world_t = corpus::GenerateDefaultCorpus(300, 11);
+    const corpus::Corpus& c_t = world_t.corpus;
+    ASSERT_EQ(c_t.num_companies(), c.num_companies());
+    for (int i = 0; i < c.num_companies(); ++i) {
+      ASSERT_EQ(c_t.record(i).company.name, c.record(i).company.name);
+      ASSERT_EQ(c_t.record(i).install_base.timeline(),
+                c.record(i).install_base.timeline())
+          << "company " << i;
+    }
     {
       SCOPED_TRACE("lda");
-      ExpectGolden(EvaluateRecommender(lda, c, config), kLdaGolden);
+      ExpectGolden(EvaluateRecommender(lda, c_t, config), kLdaGolden);
     }
     {
       SCOPED_TRACE("chh");
-      ExpectGolden(EvaluateRecommender(chh, c, config), kChhGolden);
+      ExpectGolden(EvaluateRecommender(chh, c_t, config), kChhGolden);
     }
     {
       SCOPED_TRACE("score matrix");
-      ExpectGolden(EvaluateScoreMatrix(scores, c, config),
+      ExpectGolden(EvaluateScoreMatrix(scores, c_t, config),
                    kScoreMatrixGolden);
     }
     {
       SCOPED_TRACE("random baseline");
-      ExpectGolden(EvaluateRandomBaseline(c, config), kRandomGolden);
+      ExpectGolden(EvaluateRandomBaseline(c_t, config), kRandomGolden);
     }
   }
   SetNumThreads(0);
+}
+
+// hlm.recsys.companies_scored_total counts each company with history
+// once per window, whether or not any threshold is configured.
+TEST(EvaluationTest, CompaniesScoredCountsCompaniesWithHistory) {
+  obs::Counter* scored = obs::MetricsRegistry::Global().GetCounter(
+      "hlm.recsys.companies_scored_total");
+  corpus::Corpus c = HandCorpus();
+  RecommendationEvalConfig config;
+  config.protocol.first_start = MakeMonth(2013, 1);
+  config.protocol.num_windows = 1;
+  FixedScorer scorer(0.3);
+  for (const std::vector<double>& thresholds :
+       {std::vector<double>{0.1, 0.5}, std::vector<double>{}}) {
+    config.thresholds = thresholds;
+    const long long before = scored->value();
+    auto evals = EvaluateRecommender(scorer, c, config);
+    EXPECT_EQ(evals.size(), thresholds.size());
+    // Companies A and B have history before 2013-01; C does not.
+    EXPECT_EQ(scored->value(), before + 2)
+        << thresholds.size() << " thresholds";
+  }
 }
 
 TEST(EvaluationTest, ConfidenceIntervalsShrinkWithConsistentWindows) {
